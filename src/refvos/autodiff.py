@@ -3,9 +3,23 @@
 Only the operations the segmentation model needs are provided. Tensors are
 immutable once produced by an op; every op validates that its output is
 finite and raises NonFiniteError naming the offending op otherwise.
+
+Each op output records its parents and a backward closure that receives the
+output's gradient and holds only the arrays it needs, never the output
+itself. A graph is therefore acyclic and is freed by reference counting as
+soon as its last output is dropped.
+
+Inside a `with no_grad():` block ops record no parents and no closure, so
+inference keeps no graph alive; outputs are still checked for finiteness.
+Blocks nest, and leaving one (also by an exception) restores the recording
+state it found. The state is process-wide, not per thread.
 """
 
+import contextlib
+
 import numpy as np
+
+_recording = True
 
 
 class NonFiniteError(FloatingPointError):
@@ -19,6 +33,23 @@ class DimensionError(ValueError):
 def _check_finite(data, op):
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph for the ops run inside the block."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
+def _sigmoid(d):
+    """Numerically stable logistic function of an array."""
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
 
 
 def _unbroadcast(grad, shape):
@@ -91,26 +122,27 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # ---- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
         out = _make(self.data + other.data, (self, other), "add")
+        if out._parents:
+            def bwd(g):
+                self._accum(g)
+                other._accum(g)
 
-        def bwd():
-            self._accum(out.grad)
-            other._accum(out.grad)
-
-        out._backward = bwd
+            out._backward = bwd
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
         out = _make(-self.data, (self,), "neg")
-        out._backward = lambda: self._accum(-out.grad)
+        if out._parents:
+            out._backward = lambda g: self._accum(-g)
         return out
 
     def __sub__(self, other):
@@ -122,12 +154,12 @@ class Tensor:
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
         out = _make(self.data * other.data, (self, other), "mul")
+        if out._parents:
+            def bwd(g):
+                self._accum(g * other.data)
+                other._accum(g * self.data)
 
-        def bwd():
-            self._accum(out.grad * other.data)
-            other._accum(out.grad * self.data)
-
-        out._backward = bwd
+            out._backward = bwd
         return out
 
     __rmul__ = __mul__
@@ -142,7 +174,8 @@ class Tensor:
     def __pow__(self, p):
         p = float(p)
         out = _make(self.data ** p, (self,), "pow")
-        out._backward = lambda: self._accum(out.grad * p * self.data ** (p - 1.0))
+        if out._parents:
+            out._backward = lambda g: self._accum(g * p * self.data ** (p - 1.0))
         return out
 
     def __matmul__(self, other):
@@ -150,50 +183,47 @@ class Tensor:
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise DimensionError("matmul operands must have rank >= 2")
         out = _make(np.matmul(self.data, other.data), (self, other), "matmul")
+        if out._parents:
+            def bwd(g):
+                self._accum(np.matmul(g, other.data.swapaxes(-1, -2)))
+                other._accum(np.matmul(self.data.swapaxes(-1, -2), g))
 
-        def bwd():
-            self._accum(np.matmul(out.grad, other.data.swapaxes(-1, -2)))
-            other._accum(np.matmul(self.data.swapaxes(-1, -2), out.grad))
-
-        out._backward = bwd
+            out._backward = bwd
         return out
 
     # ---- elementwise ----------------------------------------------------
 
     def exp(self):
-        out = _make(np.exp(self.data), (self,), "exp")
-        out._backward = lambda: self._accum(out.grad * out.data)
+        e = np.exp(self.data)
+        out = _make(e, (self,), "exp")
+        if out._parents:
+            out._backward = lambda g: self._accum(g * e)
         return out
 
     def log(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _make(np.log(self.data), (self,), "log")
-        out._backward = lambda: self._accum(out.grad / self.data)
+        if out._parents:
+            out._backward = lambda g: self._accum(g / self.data)
         return out
 
     def relu(self):
         out = _make(np.maximum(self.data, 0.0), (self,), "relu")
-        out._backward = lambda: self._accum(out.grad * (self.data > 0))
+        if out._parents:
+            out._backward = lambda g: self._accum(g * (self.data > 0))
         return out
 
     def sigmoid(self):
-        d = self.data
-        s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                     np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+        s = _sigmoid(self.data)
         out = _make(s, (self,), "sigmoid")
-        out._backward = lambda: self._accum(out.grad * out.data * (1.0 - out.data))
+        if out._parents:
+            out._backward = lambda g: self._accum(g * s * (1.0 - s))
         return out
 
     def softplus(self):
         out = _make(np.logaddexp(0.0, self.data), (self,), "softplus")
-
-        def bwd():
-            d = self.data
-            s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                         np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-            self._accum(out.grad * s)
-
-        out._backward = bwd
+        if out._parents:
+            out._backward = lambda g: self._accum(g * _sigmoid(self.data))
         return out
 
     # ---- structural -----------------------------------------------------
@@ -202,7 +232,8 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out = _make(self.data.reshape(shape), (self,), "reshape")
-        out._backward = lambda: self._accum(out.grad.reshape(self.data.shape))
+        if out._parents:
+            out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
     def transpose(self, *axes):
@@ -210,9 +241,10 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        inv = np.argsort(axes)
         out = _make(self.data.transpose(axes), (self,), "transpose")
-        out._backward = lambda: self._accum(out.grad.transpose(inv))
+        if out._parents:
+            inv = np.argsort(axes)
+            out._backward = lambda g: self._accum(g.transpose(inv))
         return out
 
     @property
@@ -221,25 +253,24 @@ class Tensor:
 
     def __getitem__(self, idx):
         out = _make(self.data[idx], (self,), "getitem")
+        if out._parents:
+            def bwd(g):
+                full = np.zeros_like(self.data)
+                np.add.at(full, idx, g)
+                self._accum(full)
 
-        def bwd():
-            g = np.zeros_like(self.data)
-            np.add.at(g, idx, out.grad)
-            self._accum(g)
-
-        out._backward = bwd
+            out._backward = bwd
         return out
 
     def sum(self, axis=None, keepdims=False):
         out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
+        if out._parents:
+            def bwd(g):
+                if axis is not None and not keepdims:
+                    g = np.expand_dims(g, axis)
+                self._accum(np.broadcast_to(g, self.data.shape))
 
-        def bwd():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape))
-
-        out._backward = bwd
+            out._backward = bwd
         return out
 
     def mean(self, axis=None, keepdims=False):
@@ -254,12 +285,18 @@ def _as_tensor(x, dtype):
 
 
 def _make(data, parents, op):
+    """Wrap an op's checked output. Outside `no_grad` it records `parents`,
+    and the caller attaches a backward closure when `out._parents` is set."""
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad or p._parents for p in parents)
-    out._parents = parents
+    if _recording:
+        out.requires_grad = any(p.requires_grad or p._parents for p in parents)
+        out._parents = parents
+    else:
+        out.requires_grad = False
+        out._parents = ()
     out._backward = None
     out._op = op
     return out
@@ -268,13 +305,13 @@ def _make(data, parents, op):
 def concat(tensors, axis=0):
     tensors = list(tensors)
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
+    if out._parents:
+        def bwd(g):
+            splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+            for t, part in zip(tensors, np.split(g, splits, axis=axis)):
+                t._accum(part)
 
-    def bwd():
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
-            t._accum(g)
-
-    out._backward = bwd
+        out._backward = bwd
     return out
 
 
@@ -395,10 +432,11 @@ def grad_check(f, x, eps=1e-5, indices=None):
     worst = 0.0
     for i in indices:
         orig = flat[i]
-        flat[i] = orig + eps
-        fp = float(f(Tensor(x.data.copy())).data)
-        flat[i] = orig - eps
-        fm = float(f(Tensor(x.data.copy())).data)
+        with no_grad():
+            flat[i] = orig + eps
+            fp = float(f(Tensor(x.data.copy())).data)
+            flat[i] = orig - eps
+            fm = float(f(Tensor(x.data.copy())).data)
         flat[i] = orig
         fd = (fp - fm) / (2.0 * eps)
         err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]), abs(fd))

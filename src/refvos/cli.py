@@ -8,7 +8,8 @@ import numpy as np
 
 from .autodiff import DimensionError, NonFiniteError
 from .config import load_config
-from .data import SyntheticSpec, list_clips, read_clip, write_dataset
+from .data import (GenerationError, SyntheticSpec, list_clips, read_clip,
+                   write_dataset)
 from .encoder import ConfigurationError, ReferringExpression
 from .io import (CheckpointError, ParseError, load_checkpoint, read_pgm,
                  read_ppm, save_checkpoint, write_pgm, write_ppm)
@@ -202,7 +203,7 @@ def main(argv=None):
     except (DimensionError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE_MISMATCH
-    except (OSError, ParseError, NonFiniteError, ValueError) as exc:
+    except (OSError, ParseError, NonFiniteError, GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

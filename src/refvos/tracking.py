@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .autodiff import Tensor, bilinear_resize, layer_norm, linear
+from .autodiff import Tensor, bilinear_resize, layer_norm, linear, no_grad
 from .encoder import _xavier
 from .losses import dice_loss, focal_loss
 
@@ -41,19 +41,23 @@ def _next_track(model, out):
 
 
 def segment_clip(model, clip, expr):
-    """Segment every frame online; returns a list of H x W binary masks."""
+    """Segment every frame online; returns a list of H x W binary masks.
+
+    Runs under `no_grad`: no graph is recorded, and the track token carries
+    only the previous frame's values forward."""
     frames = clip.frames if hasattr(clip, "frames") else clip
-    text = model.encode_text(expr)
-    sparse = model.sparse_embeddings(text)
-    track = None
-    masks = []
-    for frame in frames:
-        _, h, w = frame.shape
-        out = _frame_forward(model, frame, sparse, track)
-        idx = int(np.argmax(out.iou_scores.data))
-        logits = bilinear_resize(out.masks[idx].reshape(1, *out.masks[idx].shape), h, w)
-        masks.append((logits.data[0] > 0).astype(np.uint8))
-        track = _next_track(model, out)
+    with no_grad():
+        text = model.encode_text(expr)
+        sparse = model.sparse_embeddings(text)
+        track = None
+        masks = []
+        for frame in frames:
+            _, h, w = frame.shape
+            out = _frame_forward(model, frame, sparse, track)
+            idx = int(np.argmax(out.iou_scores.data))
+            logits = bilinear_resize(out.masks[idx].reshape(1, *out.masks[idx].shape), h, w)
+            masks.append((logits.data[0] > 0).astype(np.uint8))
+            track = _next_track(model, out)
     return masks
 
 

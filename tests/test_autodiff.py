@@ -3,7 +3,7 @@ import pytest
 
 from refvos.autodiff import (DimensionError, NonFiniteError, Tensor,
                              bilinear_resize, concat, conv1x1, grad_check,
-                             layer_norm, linear, softmax,
+                             layer_norm, linear, no_grad, softmax,
                              transposed_conv_upscale)
 
 
@@ -170,3 +170,48 @@ def test_concat_and_getitem_gradients():
 def test_backward_requires_scalar():
     with pytest.raises(DimensionError):
         Tensor([1.0, 2.0], requires_grad=True).backward()
+
+
+def _every_op(x):
+    """One output of each primitive op, with x a (2, 2) positive tensor."""
+    return [x + x, -x, x * x, x ** 2.0, x @ x, x.exp(), x.log(), x.relu(),
+            x.sigmoid(), x.softplus(), x.reshape(4), x.transpose(1, 0), x[0],
+            x.sum(axis=0), concat([x, x], axis=0)]
+
+
+def _records(t):
+    return bool(t._parents) and t._backward is not None
+
+
+def test_no_grad_records_no_graph():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    assert all(_records(t) for t in _every_op(x))
+    with no_grad():
+        outs = _every_op(x)
+    for t in outs:
+        assert t._parents == () and t._backward is None and not t.requires_grad, t._op
+    assert np.array_equal(outs[2].data, x.data * x.data)
+
+
+def test_no_grad_restores_recording_after_nesting_and_errors():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        with no_grad():
+            pass
+        assert not _records(x * x)
+    assert _records(x * x)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the block")
+    y = (x * x).sum()
+    assert _records(y)
+    y.backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_no_grad_still_raises_nonfinite_with_op_name():
+    with no_grad():
+        with pytest.raises(NonFiniteError, match="log"):
+            Tensor([0.0]).log()
+        with pytest.raises(NonFiniteError, match="mul"), np.errstate(over="ignore"):
+            Tensor([np.finfo(np.float64).max]) * Tensor([2.0])

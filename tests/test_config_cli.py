@@ -118,6 +118,13 @@ def test_generate_unwritable_dir_exits_one(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(blocked / "x")]) == EXIT_FAILURE
 
 
+def test_generate_impossible_long_clips_exits_one(tmp_path, capsys):
+    # most seeds cannot keep an object inside its cell for 24 frames
+    cfg = write_toy_config(tmp_path, extra="data.frames = 24\ndata.clips = 8\n")
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_FAILURE
+    assert "error: object cannot stay inside its cell" in capsys.readouterr().err
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = write_toy_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"

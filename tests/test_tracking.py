@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,26 @@ def test_model_reconstruction_from_checkpoint(tmp_path):
     a = segment_clip(model, clip, expr)
     b = segment_clip(rebuilt, clip, expr)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_graphs_are_freed_without_the_cyclic_collector():
+    # with the collector off, a graph that only the collector could free
+    # would end up in gc.garbage at the explicit collect below
+    model = toy_model()
+    clip, expr, gts = toy_clip()
+    opt = AdamW(model.trainable_params(), default_lrs())
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
+        segment_clip(model, clip, expr)
+        gc.collect()
+        leaked = sum(isinstance(o, Tensor) for o in gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    assert leaked == 0
