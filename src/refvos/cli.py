@@ -8,8 +8,8 @@ import numpy as np
 
 from .autodiff import DimensionError, NonFiniteError
 from .config import load_config
-from .data import (GenerationError, SyntheticSpec, list_clips, read_clip,
-                   write_dataset)
+from .data import (GenerationError, SyntheticSpec, clip_spec, generate_clip,
+                   list_clips, read_clip, write_dataset)
 from .encoder import ConfigurationError, ReferringExpression
 from .io import (CheckpointError, ParseError, load_checkpoint, read_pgm,
                  read_ppm, save_checkpoint, write_pgm, write_ppm)
@@ -48,14 +48,7 @@ def _load_training_clips(cfg, seed):
     if cfg.data.root:
         return [read_clip(d) for d in list_clips(cfg.data.root)]
     spec = _spec(cfg, seed)
-    clips = []
-    from .data import generate_clip
-    for k in range(cfg.data.clips):
-        sub = SyntheticSpec(height=spec.height, width=spec.width, frames=spec.frames,
-                            min_objects=spec.min_objects, max_objects=spec.max_objects,
-                            seed=spec.seed + k)
-        clips.append(generate_clip(sub))
-    return clips
+    return [generate_clip(clip_spec(spec, k)) for k in range(cfg.data.clips)]
 
 
 def _validate(model, clips, tolerance):
@@ -76,13 +69,14 @@ def cmd_train(args):
     for step in range(1, cfg.train.steps + 1):
         clip, expr, masks = clips[int(rng.integers(0, len(clips)))]
         frames, gts = sample_training_frames(clip.frames, masks, cfg.train.n_frames, rng)
-        report = train_step([(frames, expr, gts)], model, optimizer, loss_cfg)
+        report = train_step([(frames, expr, gts)], model, optimizer, loss_cfg,
+                            detach_track=cfg.train.detach_track)
         print(f"step={step} dice={report['dice']:.6f} focal={report['focal']:.6f} "
               f"iou={report['iou']:.6f} total={report['total']:.6f}")
         if step % cfg.train.checkpoint_interval == 0 or step == cfg.train.steps:
-            save_checkpoint(args.out_checkpoint, model.state_arrays())
+            save_checkpoint(args.out_checkpoint, model.checkpoint_arrays())
     # validation from the written checkpoint, so infer + eval can reproduce it
-    model.load_state(load_checkpoint(args.out_checkpoint))
+    model = model_from_checkpoint(load_checkpoint(args.out_checkpoint))
     tol = cfg.eval.tolerance_px if cfg.eval.tolerance_px >= 0 else None
     m = _validate(model, clips, tol)
     print(f"J={m.J:.4f} F={m.F:.4f} JF={m.JF:.4f}")
@@ -113,8 +107,7 @@ def cmd_eval(args):
     else:
         if not args.checkpoint:
             raise ValueError("eval: --checkpoint required unless --predictions given")
-        model = Model(cfg.model_config(), seed=_seed(cfg))
-        model.load_state(load_checkpoint(args.checkpoint))
+        model = model_from_checkpoint(load_checkpoint(args.checkpoint))
         m = _validate(model, clips, tol)
     print(f"J={m.J:.4f} F={m.F:.4f} JF={m.JF:.4f}")
     return EXIT_OK

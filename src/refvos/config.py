@@ -1,29 +1,10 @@
 """Flat 'section.key = value' run configuration."""
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .encoder import ConfigurationError
 from .losses import LossConfig
 from .model import ModelConfig
-
-
-@dataclass
-class ModelSection:
-    patch_size: int = 8
-    blocks: int = 4
-    token_width: int = 64
-    channels: int = 256
-    adapter_width: int = 8
-    mlp_ratio: int = 2
-    text_width: int = 64
-    vocab_size: int = 4096
-    hidden: int = 256
-    cross_modal_mlp: bool = True
-    da: bool = True
-    hda: bool = True
-    itm: bool = True
-    adapter: bool = True
-    include_sentence_token: bool = True
 
 
 @dataclass
@@ -64,14 +45,13 @@ class EvalSection:
 
 @dataclass
 class RunConfig:
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSection = field(default_factory=TrainSection)
     data: DataSection = field(default_factory=DataSection)
     eval: EvalSection = field(default_factory=EvalSection)
 
     def validate(self):
-        if self.model.hda and not self.model.da:
-            raise ConfigurationError("model.hda requires model.da")
+        self.model_config()   # ModelConfig.__post_init__ checks the model section
         if self.train.n_frames < 1:
             raise ConfigurationError("train.n_frames must be >= 1")
         for name in ("lr_cmm", "lr_hda", "lr_decoder", "lr_adapter", "lr_itm"):
@@ -80,15 +60,8 @@ class RunConfig:
         return self
 
     def model_config(self):
-        m = self.model
-        return ModelConfig(
-            patch_size=m.patch_size, blocks=m.blocks, token_width=m.token_width,
-            channels=m.channels, adapter_width=m.adapter_width, mlp_ratio=m.mlp_ratio,
-            text_width=m.text_width, vocab_size=m.vocab_size, hidden=m.hidden,
-            use_cross_modal_mlp=m.cross_modal_mlp, use_da=m.da, use_hda=m.hda,
-            use_itm=m.itm, use_adapter=m.adapter,
-            include_sentence_token=m.include_sentence_token,
-            detach_track=self.train.detach_track)
+        """A copy of the model section, checked by ModelConfig.__post_init__."""
+        return replace(self.model)
 
     def loss_config(self):
         t = self.train

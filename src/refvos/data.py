@@ -2,7 +2,7 @@
 on-disk dataset layout."""
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,14 +152,16 @@ def read_clip(clip_dir, with_masks=True):
     return VideoClip(frames=frames), expr, masks
 
 
+def clip_spec(spec, k):
+    """The spec of clip k of a dataset: spec with sub-seed spec.seed + k."""
+    return replace(spec, seed=spec.seed + k)
+
+
 def write_dataset(root, spec, num_clips):
-    """Write num_clips clips under root; clip k uses sub-seed spec.seed + k."""
+    """Write num_clips clips under root; clip k is generated from clip_spec(spec, k)."""
     os.makedirs(root, exist_ok=True)
     for k in range(num_clips):
-        sub = SyntheticSpec(height=spec.height, width=spec.width, frames=spec.frames,
-                            min_objects=spec.min_objects, max_objects=spec.max_objects,
-                            seed=spec.seed + k)
-        clip, expr, masks = generate_clip(sub)
+        clip, expr, masks = generate_clip(clip_spec(spec, k))
         write_clip(os.path.join(root, f"clip{k:04d}"), clip, expr, masks)
     return num_clips
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (DimensionError, Tensor, concat, layer_norm, linear,
-                       softmax, stack, transposed_conv_upscale)
-from .encoder import _xavier, sinusoidal_grid
+                       transposed_conv_upscale)
+from .encoder import _xavier, attention, sinusoidal_grid
 
 NUM_OUTPUT_TOKENS = 5   # 1 IoU token, 1 main mask token, 3 scale mask tokens
 
@@ -73,15 +73,6 @@ def init_decoder_params(c_v, rng, dtype=np.float64):
     return p
 
 
-def _attention(q_in, kv_in, params, prefix):
-    d = q_in.shape[-1]
-    q = linear(q_in, params[prefix + "wq.weight"], params[prefix + "wq.bias"])
-    k = linear(kv_in, params[prefix + "wk.weight"], params[prefix + "wk.bias"])
-    v = linear(kv_in, params[prefix + "wv.weight"], params[prefix + "wv.bias"])
-    att = softmax(q @ k.T * (1.0 / np.sqrt(d)), axis=-1)
-    return linear(att @ v, params[prefix + "wo.weight"], params[prefix + "wo.bias"])
-
-
 def decode(visual, sparse, dense, track, params, include_sentence_token=True):
     """Produce 4 mask logit maps, their quality scores, and the post-decoder
     state of the main mask token.
@@ -112,12 +103,12 @@ def decode(visual, sparse, dense, track, params, include_sentence_token=True):
     image = emb.reshape(c_v, h0 * w0).transpose(1, 0)   # (HW, C_v)
     for layer in range(2):
         pre = f"decoder.layer{layer}."
-        tokens = layer_norm(tokens + _attention(tokens, tokens, params, pre + "self."),
+        tokens = layer_norm(tokens + attention(tokens, tokens, params, pre + "self."),
                             params[pre + "ln_self.gamma"], params[pre + "ln_self.beta"])
-        tokens = layer_norm(tokens + _attention(tokens, image, params, pre + "t2i."),
+        tokens = layer_norm(tokens + attention(tokens, image, params, pre + "t2i."),
                             params[pre + "ln_t2i.gamma"], params[pre + "ln_t2i.beta"])
-        image = image + _attention(image, tokens, params, pre + "i2t.")
-    tokens = layer_norm(tokens + _attention(tokens, image, params, "decoder.final_attn."),
+        image = image + attention(image, tokens, params, pre + "i2t.")
+    tokens = layer_norm(tokens + attention(tokens, image, params, "decoder.final_attn."),
                         params["decoder.final_ln.gamma"], params["decoder.final_ln.beta"])
 
     up = transposed_conv_upscale(image.transpose(1, 0).reshape(c_v, h0, w0),

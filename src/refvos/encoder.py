@@ -137,11 +137,13 @@ def adapter_forward(tokens, params, prefix):
     return tokens + linear(h, params[prefix + "up.weight"], params[prefix + "up.bias"])
 
 
-def _self_attention(tokens, params, prefix):
-    d = tokens.shape[-1]
-    q = linear(tokens, params[prefix + "wq.weight"], params[prefix + "wq.bias"])
-    k = linear(tokens, params[prefix + "wk.weight"], params[prefix + "wk.bias"])
-    v = linear(tokens, params[prefix + "wv.weight"], params[prefix + "wv.bias"])
+def attention(q_in, kv_in, params, prefix):
+    """Single-head scaled dot-product attention of q_in over kv_in, with
+    the projections `<prefix>{wq,wk,wv,wo}.{weight,bias}`."""
+    d = q_in.shape[-1]
+    q = linear(q_in, params[prefix + "wq.weight"], params[prefix + "wq.bias"])
+    k = linear(kv_in, params[prefix + "wk.weight"], params[prefix + "wk.bias"])
+    v = linear(kv_in, params[prefix + "wv.weight"], params[prefix + "wv.bias"])
     att = softmax(q @ k.T * (1.0 / np.sqrt(d)), axis=-1)
     return linear(att @ v, params[prefix + "wo.weight"], params[prefix + "wo.bias"])
 
@@ -169,7 +171,7 @@ def encode_frame(frame, cfg, params, use_adapter=True):
     for i in range(cfg.block_count):
         pre = f"encoder.block{i}."
         x = layer_norm(tokens, params[pre + "ln1.gamma"], params[pre + "ln1.beta"])
-        tokens = tokens + _self_attention(x, params, pre + "attn.")
+        tokens = tokens + attention(x, x, params, pre + "attn.")
         if use_adapter and i in cfg.adapter_blocks:
             tokens = adapter_forward(tokens, params, pre + "adapter1.")
         x = layer_norm(tokens, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])

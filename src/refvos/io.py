@@ -1,6 +1,7 @@
 """Binary file formats: PGM/PPM images, model checkpoints, and external
 text-embedding tables."""
 
+import os
 import struct
 
 import numpy as np
@@ -89,18 +90,26 @@ def read_ppm(path):
 
 def save_checkpoint(path, arrays):
     """Record stream of named float32 arrays, sorted by name for
-    reproducible bytes."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(arr.tobytes())
+    reproducible bytes. Written to a temporary file beside `path` and
+    renamed over it, so `path` holds either its old or its new bytes."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<B", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -123,11 +132,13 @@ def load_checkpoint(path):
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
             pos += 4 * count
-            arrays[name] = arr.reshape(shape).astype(np.float32)
         except (struct.error, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint record at byte {pos}: {exc}") from exc
         if arr.size != count:
             raise CheckpointError(f"truncated checkpoint at byte {pos}")
+        if name in arrays:
+            raise CheckpointError(f"repeated checkpoint record {name!r} ending at byte {pos}")
+        arrays[name] = arr.reshape(shape).astype(np.float32)
     return arrays
 
 

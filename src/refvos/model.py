@@ -1,46 +1,51 @@
-"""Full model assembly: configuration, parameter initialization, and the
-per-frame forward path shared by inference and training."""
+"""Full model assembly: configuration, parameter initialization, the
+per-frame forward path shared by inference and training, and checkpoints
+that record their configuration."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .decoder import decode, init_decoder_params
 from .encoder import (ConfigurationError, ToyTextProvider, VisualEncoderConfig,
-                      encode_frame, encode_text, freeze_partition)
+                      encode_frame, encode_text, freeze_partition,
+                      init_visual_params)
 from .fusion import (cross_modal_project, dense_attention,
                      hierarchical_dense_attention, init_cross_modal_params,
                      init_hda_params, init_linear_project_params)
+from .io import CheckpointError
 from .tracking import init_itm_params
 
 # sub-seed offsets derived from the top-level seed
 SEED_ENCODER, SEED_TEXT, SEED_FUSION, SEED_DECODER, SEED_ITM, SEED_DATA, SEED_SAMPLER = (
     1, 2, 3, 4, 5, 1000, 2000)
 
+# checkpoint record name prefix of the ModelConfig fields
+CONFIG_PREFIX = "config."
+
 
 @dataclass
 class ModelConfig:
+    """The architecture; also the `model` section of a run configuration."""
     patch_size: int = 8
     blocks: int = 4
     token_width: int = 64
     channels: int = 256            # C_v, shared prompt/decoder width
     adapter_width: int = 8
     mlp_ratio: int = 2
-    tap_indices: tuple = None
     text_width: int = 64           # C_e of the toy text encoder
     vocab_size: int = 4096
     hidden: int = 256              # cross-modal MLP hidden width
-    use_cross_modal_mlp: bool = True
-    use_da: bool = True
-    use_hda: bool = True
-    use_itm: bool = True
-    use_adapter: bool = True
+    cross_modal_mlp: bool = True
+    da: bool = True
+    hda: bool = True
+    itm: bool = True
+    adapter: bool = True
     include_sentence_token: bool = True
-    detach_track: bool = False
 
     def __post_init__(self):
-        if self.use_hda and not self.use_da:
-            raise ConfigurationError("hda requires the dense-attention machinery")
+        if self.hda and not self.da:
+            raise ConfigurationError("model.hda requires model.da")
         if self.channels % 4 or self.token_width % 4:
             raise ConfigurationError("channel widths must be divisible by 4")
 
@@ -52,27 +57,25 @@ class Model:
         self.vcfg = VisualEncoderConfig(
             patch_size=cfg.patch_size, block_count=cfg.blocks,
             token_width=cfg.token_width, out_channels=cfg.channels,
-            adapter_width=cfg.adapter_width, mlp_ratio=cfg.mlp_ratio,
-            tap_indices=cfg.tap_indices)
-        self.params = {}
-        self.params.update(init_params_visual(self.vcfg, seed, dtype,
-                                              with_adapters=cfg.use_adapter))
+            adapter_width=cfg.adapter_width, mlp_ratio=cfg.mlp_ratio)
+        self.params = init_visual_params(self.vcfg, np.random.default_rng(seed + SEED_ENCODER),
+                                         dtype, with_adapters=cfg.adapter)
         self.text_provider = text_provider or ToyTextProvider(
             cfg.text_width, cfg.vocab_size, seed + SEED_TEXT, dtype)
         self.params.update(self.text_provider.params())
         rng_f = np.random.default_rng(seed + SEED_FUSION)
-        if cfg.use_cross_modal_mlp:
+        if cfg.cross_modal_mlp:
             self.params.update(init_cross_modal_params(
                 cfg.text_width, cfg.hidden, cfg.channels, rng_f, dtype))
         else:
             self.params.update(init_linear_project_params(
                 cfg.text_width, cfg.channels, rng_f, dtype))
-        if cfg.use_da:
+        if cfg.da:
             self.params.update(init_hda_params(
                 cfg.channels, self.vcfg.mid_channels, rng_f, dtype))
         self.params.update(init_decoder_params(
             cfg.channels, np.random.default_rng(seed + SEED_DECODER), dtype))
-        if cfg.use_itm:
+        if cfg.itm:
             self.params.update(init_itm_params(
                 cfg.channels, np.random.default_rng(seed + SEED_ITM), dtype))
 
@@ -86,12 +89,12 @@ class Model:
 
     def encode_frame(self, frame):
         return encode_frame(frame, self.vcfg, self.params,
-                            use_adapter=self.cfg.use_adapter)
+                            use_adapter=self.cfg.adapter)
 
     def dense_embeddings(self, ff, sparse):
-        if self.cfg.use_hda:
+        if self.cfg.hda:
             return hierarchical_dense_attention(ff, sparse, self.params)
-        if self.cfg.use_da:
+        if self.cfg.da:
             return dense_attention(ff.final, sparse, self.params)[0]
         return None
 
@@ -111,55 +114,67 @@ class Model:
     def state_arrays(self):
         return {n: p.data for n, p in sorted(self.params.items())}
 
+    def checkpoint_arrays(self):
+        """state_arrays() plus one `config.<field>` record per ModelConfig
+        field; every field is a bool or a small int, exact in float32."""
+        arrays = self.state_arrays()
+        for f in fields(ModelConfig):
+            arrays[CONFIG_PREFIX + f.name] = np.array([getattr(self.cfg, f.name)], np.float32)
+        return arrays
+
     def load_state(self, arrays):
+        """Load parameters from checkpoint arrays. `config.*` records, if
+        present, must describe this model; any other name must be one of
+        its parameters."""
+        records = [n for n in arrays if n.startswith(CONFIG_PREFIX)]
+        if records and _config_from_arrays(arrays) != self.cfg:
+            raise CheckpointError("checkpoint config records differ from the model's config")
+        unknown = sorted(set(arrays) - set(self.params) - set(records))
+        if unknown:
+            raise CheckpointError(f"checkpoint has unknown records {unknown}")
+        loaded = {}
         for name, p in self.params.items():
             if name not in arrays:
-                raise ConfigurationError(f"checkpoint missing parameter {name!r}")
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != p.data.shape:
-                raise ConfigurationError(
-                    f"checkpoint shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
-            p.data = arr
+                raise CheckpointError(f"checkpoint missing parameter {name!r}")
+            loaded[name] = np.asarray(arrays[name], dtype=self.dtype)
+            if loaded[name].shape != p.data.shape:
+                raise CheckpointError(f"checkpoint shape mismatch for {name!r}: "
+                                      f"{loaded[name].shape} vs {p.data.shape}")
+        for name, p in self.params.items():   # all or nothing
+            p.data = loaded[name]
             p.grad = None
 
 
-def init_params_visual(vcfg, seed, dtype, with_adapters=True):
-    from .encoder import init_visual_params
-    return init_visual_params(vcfg, np.random.default_rng(seed + SEED_ENCODER), dtype,
-                              with_adapters=with_adapters)
-
-
-def config_from_params(arrays):
-    """Reconstruct a ModelConfig from checkpoint parameter shapes, so that
-    inference needs nothing but the checkpoint."""
-    pdim, token_width = arrays["encoder.patch.weight"].shape
-    patch_size = int(round(np.sqrt(pdim / 3)))
-    blocks = 1 + max(int(k.split(".")[1][5:]) for k in arrays if k.startswith("encoder.block"))
-    channels = arrays["encoder.neck.proj.weight"].shape[1]
-    mlp_ratio = arrays["encoder.block0.mlp.fc1.weight"].shape[1] // token_width
-    adapter_keys = [k for k in arrays if ".adapter1.down.weight" in k]
-    use_adapter = bool(adapter_keys)
-    adapter_width = arrays[adapter_keys[0]].shape[1] if adapter_keys else max(1, token_width // 8)
-    use_cmm = "cmm.fc1.weight" in arrays
-    if use_cmm:
-        text_width, hidden = arrays["cmm.fc1.weight"].shape
-    else:
-        text_width = arrays["cmm.proj.weight"].shape[0]
-        hidden = 1
-    vocab_size = arrays["text.table"].shape[0] if "text.table" in arrays else 4096
-    return ModelConfig(
-        patch_size=patch_size, blocks=blocks, token_width=token_width,
-        channels=channels, adapter_width=adapter_width, mlp_ratio=mlp_ratio,
-        text_width=text_width, vocab_size=vocab_size, hidden=hidden,
-        use_cross_modal_mlp=use_cmm,
-        use_da="hda.da0.conv.weight" in arrays,
-        use_hda="hda.reduce1.weight" in arrays,
-        use_itm="itm.fc1.weight" in arrays,
-        use_adapter=use_adapter)
+def _config_from_arrays(arrays):
+    """Decode the ModelConfig that checkpoint_arrays() recorded."""
+    names = {n[len(CONFIG_PREFIX):] for n in arrays if n.startswith(CONFIG_PREFIX)}
+    if not names:
+        raise CheckpointError("checkpoint has no config.* records; "
+                              "infer and eval need a checkpoint written by `refvos train`")
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    if names != set(types):
+        raise CheckpointError(f"checkpoint config records: missing {sorted(set(types) - names)}, "
+                              f"unknown {sorted(names - set(types))}")
+    values = {}
+    for name, ftype in types.items():
+        arr = np.asarray(arrays[CONFIG_PREFIX + name])
+        value = float(arr.reshape(-1)[0]) if arr.size == 1 else float("nan")
+        if not value.is_integer() or (ftype is bool and value not in (0.0, 1.0)):
+            raise CheckpointError(f"checkpoint config record {name!r} holds {arr.tolist()}, "
+                                  f"not a single {ftype.__name__}")
+        values[name] = ftype(value)
+    try:
+        return ModelConfig(**values)
+    except ConfigurationError as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
 
 
 def model_from_checkpoint(arrays, dtype=np.float64):
-    cfg = config_from_params(arrays)
-    model = Model(cfg, seed=0, dtype=dtype)
+    """The model a checkpoint describes, with its parameters loaded."""
+    cfg = _config_from_arrays(arrays)
+    try:
+        model = Model(cfg, seed=0, dtype=dtype)
+    except ConfigurationError as exc:
+        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
     model.load_state(arrays)
     return model

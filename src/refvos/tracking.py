@@ -5,6 +5,7 @@ import numpy as np
 from .autodiff import Tensor, bilinear_resize, layer_norm, linear, no_grad
 from .encoder import _xavier
 from .losses import dice_loss, focal_loss
+from .metrics import region_similarity_J
 
 
 def init_itm_params(c_v, rng, dtype=np.float64, hidden=None):
@@ -33,11 +34,11 @@ def _frame_forward(model, frame, sparse, track):
     return model.decode(ff, sparse, dense, track)
 
 
-def _next_track(model, out):
-    if not model.cfg.use_itm:
+def _next_track(model, out, detach=False):
+    if not model.cfg.itm:
         return None
     track = track_update(out.main_token_out, model.params)
-    return track.detach() if model.cfg.detach_track else track
+    return track.detach() if detach else track
 
 
 def segment_clip(model, clip, expr):
@@ -61,16 +62,10 @@ def segment_clip(model, clip, expr):
     return masks
 
 
-def _binary_iou(a, b):
-    union = np.logical_or(a, b).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(a, b).sum() / union)
-
-
-def clip_loss(model, frames, expr, gt_masks, loss_cfg):
+def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
     """Total training loss over an ordered frame sequence, with the track
-    token propagated (and differentiated) across frames.
+    token propagated across frames: differentiated through, unless
+    detach_track cuts the gradient between frames.
 
     Returns (loss Tensor, report dict, list of predicted binary masks)."""
     text = model.encode_text(expr)
@@ -89,19 +84,19 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg):
         f = focal_loss(logits, gt_arr, loss_cfg)
         pred_bin = (logits.data > 0).astype(np.uint8)
         preds.append(pred_bin)
-        target_iou = _binary_iou(pred_bin, gt_arr > 0)
+        target_iou = region_similarity_J(pred_bin, gt_arr > 0)
         iou_term = (out.iou_scores[0] - target_iou) ** 2.0
         frame_loss = loss_cfg.w_dice * d + loss_cfg.w_focal * f + iou_term.sum()
         total = frame_loss if total is None else total + frame_loss
         report["dice"] += float(d.data)
         report["focal"] += float(f.data)
         report["iou"] += float(iou_term.data)
-        track = _next_track(model, out)
+        track = _next_track(model, out, detach_track)
     report["total"] = float(total.data)
     return total, report, preds
 
 
-def train_step(batch, model, optimizer, loss_cfg):
+def train_step(batch, model, optimizer, loss_cfg, detach_track=False):
     """One optimizer step over a batch of (frames, expression, gt_masks)
     samples; frames within a sample must already be in temporal order."""
     optimizer.zero_grad()
@@ -110,7 +105,7 @@ def train_step(batch, model, optimizer, loss_cfg):
     for frames, expr, gts in batch:
         if len(frames) != len(gts):
             raise ValueError("train_step: each frame needs a ground-truth mask")
-        loss, rep, _ = clip_loss(model, frames, expr, gts, loss_cfg)
+        loss, rep, _ = clip_loss(model, frames, expr, gts, loss_cfg, detach_track)
         total = loss if total is None else total + loss
         for k in report:
             report[k] += rep[k]

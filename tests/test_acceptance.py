@@ -273,7 +273,7 @@ def test_acceptance_7_metric_oracles():
 # 8 -------------------------------------------------------------------------
 
 def _overfit_run(use_hda, use_itm, seed, dataseed, steps=500):
-    model = _toy_model(seed=seed, use_hda=use_hda, use_itm=use_itm)
+    model = _toy_model(seed=seed, hda=use_hda, itm=use_itm)
     clips = [generate_clip(SyntheticSpec(seed=dataseed + k, max_objects=2))
              for k in range(4)]
     opt = AdamW(model.trainable_params(),

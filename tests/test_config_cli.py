@@ -254,8 +254,8 @@ def test_itm_toggle_frame1_identical_through_cli(tmp_path, capsys):
     base = dict(patch_size=8, blocks=2, token_width=32, channels=32,
                 adapter_width=4, hidden=32, text_width=32)
     ck_on, ck_off = tmp_path / "on.ckpt", tmp_path / "off.ckpt"
-    save_checkpoint(ck_on, Model(ModelConfig(**base, use_itm=True), seed=2).state_arrays())
-    save_checkpoint(ck_off, Model(ModelConfig(**base, use_itm=False), seed=2).state_arrays())
+    save_checkpoint(ck_on, Model(ModelConfig(**base, itm=True), seed=2).checkpoint_arrays())
+    save_checkpoint(ck_off, Model(ModelConfig(**base, itm=False), seed=2).checkpoint_arrays())
     p_on, p_off = tmp_path / "pon", tmp_path / "poff"
     main(["infer", "--checkpoint", str(ck_on), "--clip", str(data / "clip0000"),
           "--out", str(p_on)])

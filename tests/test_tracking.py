@@ -92,8 +92,8 @@ def test_online_causality_prefix_replay():
 
 
 def test_frame1_independent_of_itm_params():
-    a = toy_model(use_itm=True)
-    b = toy_model(use_itm=False)
+    a = toy_model(itm=True)
+    b = toy_model(itm=False)
     clip, expr, _ = toy_clip(frames=2)
     ma = segment_clip(a, clip, expr)
     mb = segment_clip(b, clip, expr)
@@ -101,13 +101,13 @@ def test_frame1_independent_of_itm_params():
 
 
 def test_track_changes_later_frames_with_nonzero_itm():
-    model = toy_model(use_itm=True)
+    model = toy_model(itm=True)
     rng = np.random.default_rng(5)
     model.params["itm.fc2.weight"].data = rng.normal(size=(32, 32)) * 0.5
     clip, expr, _ = toy_clip(frames=2)
     with_track = segment_clip(model, clip, expr)
 
-    model_no = toy_model(use_itm=False)
+    model_no = toy_model(itm=False)
     for name, p in model_no.params.items():
         p.data = model.params[name].data.copy()
     without = segment_clip(model_no, clip, expr)
@@ -173,9 +173,9 @@ def test_gradient_flows_across_frames_through_track():
 
 def test_detach_track_blocks_cross_frame_gradient():
     model = toy_model()
-    model.cfg.detach_track = True
     clip, expr, gts = toy_clip(frames=2)
-    loss, _, _ = clip_loss(model, clip.frames[:2], expr, gts[:2], LossConfig())
+    loss, _, _ = clip_loss(model, clip.frames[:2], expr, gts[:2], LossConfig(),
+                           detach_track=True)
     for p in model.params.values():
         p.grad = None
     loss.backward()
@@ -219,13 +219,13 @@ def test_checkpoint_round_trip(tmp_path):
 def test_model_reconstruction_from_checkpoint(tmp_path):
     from refvos.io import load_checkpoint, save_checkpoint
     from refvos.model import model_from_checkpoint
-    model = toy_model(seed=4)
+    # flags the parameter shapes cannot reveal, and others away from their defaults
+    model = toy_model(seed=4, include_sentence_token=False, itm=False,
+                      cross_modal_mlp=False, mlp_ratio=3, vocab_size=64)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.state_arrays())
+    save_checkpoint(path, model.checkpoint_arrays())
     rebuilt = model_from_checkpoint(load_checkpoint(path))
-    assert rebuilt.cfg.patch_size == 8
-    assert rebuilt.cfg.blocks == 2
-    assert rebuilt.cfg.channels == 32
+    assert rebuilt.cfg == model.cfg
     clip, expr, _ = toy_clip(frames=2)
     model.load_state(load_checkpoint(path))   # same float32 rounding on both sides
     a = segment_clip(model, clip, expr)
