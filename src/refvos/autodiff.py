@@ -93,9 +93,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.data.copy())
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accum(self, g):
         g = _unbroadcast(np.asarray(g), self.data.shape).reshape(self.data.shape)
         if self.grad is None:
@@ -313,10 +310,6 @@ def concat(tensors, axis=0):
 
         out._backward = bwd
     return out
-
-
-def stack(tensors, axis=0):
-    return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis=axis)
 
 
 # ---- neural-net building blocks -----------------------------------------

@@ -20,7 +20,6 @@ from .tracking import sample_training_frames, segment_clip, train_step
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_MISSING_TOKEN = 2
 EXIT_BAD_CHECKPOINT = 3
 EXIT_SHAPE_MISMATCH = 4
 
@@ -138,6 +137,8 @@ def cmd_overlay(args):
     for name, mname in zip(names, mask_names):
         frame = read_ppm(os.path.join(frames_dir, name))
         mask = read_pgm(os.path.join(args.masks, mname)).astype(bool)
+        if mask.shape != frame.shape[1:]:
+            raise DimensionError(f"overlay: mask {mname} and frame {name} differ in size")
         out = frame.copy()
         out[:, mask] = 0.5 * out[:, mask] + 0.5 * tint[:, None]
         write_ppm(os.path.join(args.out, os.path.splitext(name)[0] + ".ppm"), out)
@@ -187,9 +188,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_TOKEN
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CHECKPOINT

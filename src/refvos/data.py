@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import DimensionError
 from .encoder import ReferringExpression
 from .io import read_pgm, read_ppm, write_pgm, write_ppm
 
@@ -139,9 +140,16 @@ def write_clip(clip_dir, clip, expr, masks):
 
 
 def read_clip(clip_dir, with_masks=True):
+    """(VideoClip, ReferringExpression, masks or None) of a clip directory;
+    DimensionError unless the frames, and masks if read, match one-to-one in size."""
     frames_dir = os.path.join(clip_dir, "frames")
     names = sorted(os.listdir(frames_dir))
     frames = [read_ppm(os.path.join(frames_dir, n)) for n in names]
+    if not frames:
+        raise DimensionError(f"clip {clip_dir} has no frames")
+    size = frames[0].shape[1:]
+    if any(f.shape[1:] != size for f in frames):
+        raise DimensionError(f"frames of clip {clip_dir} differ in size")
     with open(os.path.join(clip_dir, "expression.txt"), encoding="utf-8") as fh:
         words = fh.readline().split()
     expr = ReferringExpression(words=words)
@@ -149,6 +157,10 @@ def read_clip(clip_dir, with_masks=True):
     if with_masks:
         masks_dir = os.path.join(clip_dir, "masks")
         masks = [read_pgm(os.path.join(masks_dir, n)) for n in sorted(os.listdir(masks_dir))]
+        if len(masks) != len(frames):
+            raise DimensionError(f"clip {clip_dir} has {len(masks)} masks for {len(frames)} frames")
+        if any(m.shape != size for m in masks):
+            raise DimensionError(f"masks of clip {clip_dir} differ in size from its frames")
     return VideoClip(frames=frames), expr, masks
 
 

@@ -10,8 +10,6 @@ from .autodiff import (DimensionError, Tensor, concat, layer_norm, linear,
                        transposed_conv_upscale)
 from .encoder import _xavier, attention, sinusoidal_grid
 
-NUM_OUTPUT_TOKENS = 5   # 1 IoU token, 1 main mask token, 3 scale mask tokens
-
 
 @dataclass
 class DecoderOutput:
@@ -130,9 +128,3 @@ def decode(visual, sparse, dense, track, params, include_sentence_token=True):
     iou = linear(iou, params["decoder.iou_head.fc2.weight"],
                  params["decoder.iou_head.fc2.bias"]).sigmoid()
     return DecoderOutput(masks=masks, iou_scores=iou, main_token_out=tokens[1])
-
-
-def select_mask(out):
-    """Binarize the mask whose predicted quality score is highest."""
-    idx = int(np.argmax(out.iou_scores.data))
-    return (out.masks[idx].data > 0).astype(np.uint8)

@@ -20,23 +20,19 @@ class VisualEncoderConfig:
     out_channels: int = 256          # channel width shared with the decoder
     adapter_width: int = 8           # bottleneck of each adapter
     mlp_ratio: int = 2
-    tap_indices: tuple = None        # 3 block indices whose outputs become mid maps
 
     def __post_init__(self):
         if self.block_count < 2 or self.block_count % 2 != 0:
             raise ConfigurationError("block_count must be even and >= 2")
-        if self.tap_indices is None:
-            b = self.block_count
-            self.tap_indices = tuple(sorted({max(0, b // 4), b // 2, min(b - 1, 3 * b // 4)}))
-            while len(self.tap_indices) < 3:
-                self.tap_indices = (self.tap_indices[0],) + self.tap_indices
-        self.tap_indices = tuple(self.tap_indices)
-        if len(self.tap_indices) != 3 or any(i >= self.block_count or i < 0 for i in self.tap_indices):
-            raise ConfigurationError("tap_indices must be 3 block indices < block_count")
-        if list(self.tap_indices) != sorted(self.tap_indices):
-            raise ConfigurationError("tap_indices must be non-decreasing")
         if self.adapter_width >= self.token_width:
             raise ConfigurationError("adapter_width must be < token_width")
+
+    @property
+    def tap_indices(self):
+        """The 3 block indices whose outputs become the mid maps."""
+        b = self.block_count
+        taps = sorted({b // 4, b // 2, 3 * b // 4})
+        return tuple(taps[:1] * (3 - len(taps)) + taps)
 
     @property
     def mid_channels(self):
@@ -196,40 +192,12 @@ def _bucket(token, vocab_size):
     return int.from_bytes(digest, "little") % vocab_size
 
 
-class ToyTextProvider:
-    """Seeded-hash vocabulary table; out-of-vocabulary is impossible since
-    every token hashes into a bucket."""
-
-    def __init__(self, embed_width=64, vocab_size=4096, seed=0, dtype=np.float64):
-        rng = np.random.default_rng(seed)
-        self.embed_width = embed_width
-        self.vocab_size = vocab_size
-        self.table = Tensor(
-            (rng.normal(0.0, 1.0, (vocab_size, embed_width)) / np.sqrt(embed_width)).astype(dtype))
-
-    def lookup(self, token):
-        return self.table.data[_bucket(token, self.vocab_size)]
-
-    def params(self):
-        return {"text.table": self.table}
-
-
-class FileTextProvider:
-    """Embeddings loaded from an external embedding file (see io.read_embeddings)."""
-
-    def __init__(self, vectors):
-        if not vectors:
-            raise ValueError("empty embedding table")
-        self.vectors = vectors
-        self.embed_width = len(next(iter(vectors.values())))
-
-    def lookup(self, token):
-        if token not in self.vectors:
-            raise LookupError(f"embedding file has no entry for token {token!r}")
-        return self.vectors[token]
-
-    def params(self):
-        return {}
+def init_text_params(width, vocab_size, seed, dtype=np.float64):
+    """The frozen word table, one row per hash bucket; every token hashes
+    into a bucket, so no token is out of vocabulary."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(0.0, 1.0, (vocab_size, width)) / np.sqrt(width)
+    return {"text.table": Tensor(table.astype(dtype))}
 
 
 def pool_sentence(words):
@@ -239,9 +207,11 @@ def pool_sentence(words):
     return words.mean(axis=0)
 
 
-def encode_text(expr, provider):
-    rows = np.stack([np.asarray(provider.lookup(w), dtype=np.float64) for w in expr.words])
-    words = Tensor(rows)
+def encode_text(expr, table):
+    """Word rows of `table` (the text.table Tensor) for the hashed words of
+    expr, and their mean."""
+    rows = table.data[[_bucket(w, table.shape[0]) for w in expr.words]]
+    words = Tensor(rows.astype(np.float64))
     return TextEmbeddings(words=words, sentence=pool_sentence(words))
 
 

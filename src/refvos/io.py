@@ -1,5 +1,4 @@
-"""Binary file formats: PGM/PPM images, model checkpoints, and external
-text-embedding tables."""
+"""Binary file formats: PGM/PPM images and model checkpoints."""
 
 import os
 import struct
@@ -7,7 +6,6 @@ import struct
 import numpy as np
 
 CHECKPOINT_MAGIC = b"REFSAM1\n"
-EMBEDDING_MAGIC = b"REFEMB1\n"
 
 
 class ParseError(ValueError):
@@ -140,46 +138,3 @@ def load_checkpoint(path):
             raise CheckpointError(f"repeated checkpoint record {name!r} ending at byte {pos}")
         arrays[name] = arr.reshape(shape).astype(np.float32)
     return arrays
-
-
-# ---- external embedding tables -------------------------------------------
-
-def write_embeddings(path, vectors):
-    """vectors: dict token -> 1-D float array; all the same width."""
-    widths = {len(np.asarray(v).reshape(-1)) for v in vectors.values()}
-    if len(widths) != 1:
-        raise ValueError("all embedding vectors must share one width")
-    width = widths.pop()
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<II", len(vectors), width))
-        for token in sorted(vectors):
-            tb = token.encode("utf-8")
-            fh.write(struct.pack("<H", len(tb)))
-            fh.write(tb)
-            fh.write(np.asarray(vectors[token], dtype="<f4").tobytes())
-
-
-def read_embeddings(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(EMBEDDING_MAGIC):
-        raise ParseError("bad embedding-file magic", 0)
-    pos = len(EMBEDDING_MAGIC)
-    try:
-        vocab, width = struct.unpack_from("<II", raw, pos)
-        pos += 8
-        vectors = {}
-        for _ in range(vocab):
-            (tlen,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            token = raw[pos:pos + tlen].decode("utf-8")
-            pos += tlen
-            vec = np.frombuffer(raw, dtype="<f4", count=width, offset=pos)
-            if vec.size != width:
-                raise ParseError("truncated embedding record", pos)
-            pos += 4 * width
-            vectors[token] = vec.astype(np.float64)
-    except struct.error as exc:
-        raise ParseError(f"malformed embedding file: {exc}", pos) from exc
-    return vectors

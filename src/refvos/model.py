@@ -7,8 +7,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .decoder import decode, init_decoder_params
-from .encoder import (ConfigurationError, ToyTextProvider, VisualEncoderConfig,
-                      encode_frame, encode_text, freeze_partition,
+from .encoder import (ConfigurationError, VisualEncoderConfig, encode_frame,
+                      encode_text, freeze_partition, init_text_params,
                       init_visual_params)
 from .fusion import (cross_modal_project, dense_attention,
                      hierarchical_dense_attention, init_cross_modal_params,
@@ -44,6 +44,9 @@ class ModelConfig:
     include_sentence_token: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is int and getattr(self, f.name) < 1:
+                raise ConfigurationError(f"model.{f.name} must be >= 1")
         if self.hda and not self.da:
             raise ConfigurationError("model.hda requires model.da")
         if self.channels % 4 or self.token_width % 4:
@@ -51,7 +54,7 @@ class ModelConfig:
 
 
 class Model:
-    def __init__(self, cfg, seed=0, dtype=np.float64, text_provider=None):
+    def __init__(self, cfg, seed=0, dtype=np.float64):
         self.cfg = cfg
         self.dtype = dtype
         self.vcfg = VisualEncoderConfig(
@@ -60,9 +63,8 @@ class Model:
             adapter_width=cfg.adapter_width, mlp_ratio=cfg.mlp_ratio)
         self.params = init_visual_params(self.vcfg, np.random.default_rng(seed + SEED_ENCODER),
                                          dtype, with_adapters=cfg.adapter)
-        self.text_provider = text_provider or ToyTextProvider(
-            cfg.text_width, cfg.vocab_size, seed + SEED_TEXT, dtype)
-        self.params.update(self.text_provider.params())
+        self.params.update(init_text_params(cfg.text_width, cfg.vocab_size,
+                                            seed + SEED_TEXT, dtype))
         rng_f = np.random.default_rng(seed + SEED_FUSION)
         if cfg.cross_modal_mlp:
             self.params.update(init_cross_modal_params(
@@ -82,7 +84,7 @@ class Model:
     # ---- forward pieces --------------------------------------------------
 
     def encode_text(self, expr):
-        return encode_text(expr, self.text_provider)
+        return encode_text(expr, self.params["text.table"])
 
     def sparse_embeddings(self, text):
         return cross_modal_project(text, self.params)

@@ -41,23 +41,28 @@ def _next_track(model, out, detach=False):
     return track.detach() if detach else track
 
 
+def select_mask(out, h, w):
+    """The h x w binary mask of the decoder output with the highest quality
+    score (the first on a tie): resized, then thresholded at 0."""
+    idx = int(np.argmax(out.iou_scores.data))
+    logits = bilinear_resize(out.masks[idx].reshape(1, *out.masks[idx].shape), h, w)
+    return (logits.data[0] > 0).astype(np.uint8)
+
+
 def segment_clip(model, clip, expr):
     """Segment every frame online; returns a list of H x W binary masks.
 
     Runs under `no_grad`: no graph is recorded, and the track token carries
     only the previous frame's values forward."""
-    frames = clip.frames if hasattr(clip, "frames") else clip
     with no_grad():
         text = model.encode_text(expr)
         sparse = model.sparse_embeddings(text)
         track = None
         masks = []
-        for frame in frames:
+        for frame in clip.frames:
             _, h, w = frame.shape
             out = _frame_forward(model, frame, sparse, track)
-            idx = int(np.argmax(out.iou_scores.data))
-            logits = bilinear_resize(out.masks[idx].reshape(1, *out.masks[idx].shape), h, w)
-            masks.append((logits.data[0] > 0).astype(np.uint8))
+            masks.append(select_mask(out, h, w))
             track = _next_track(model, out)
     return masks
 

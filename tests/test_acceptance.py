@@ -321,7 +321,6 @@ def test_acceptance_9_online_causality():
     sparse = model.sparse_embeddings(text)
     ff = model.encode_frame(clip.frames[0])
     out = model.decode(ff, sparse, model.dense_embeddings(ff, sparse), None)
-    from refvos.decoder import select_mask
     from refvos.autodiff import bilinear_resize
     idx = int(np.argmax(out.iou_scores.data))
     logits = bilinear_resize(out.masks[idx].reshape(1, 32, 32), 64, 64)

@@ -79,8 +79,12 @@ def test_load_state_missing_or_misshaped_parameter():
     (lambda a: a.update({"config.hda": np.ones(2, np.float32)}), "'hda' holds"),
     (lambda a: a.update({"config.da": np.zeros(1, np.float32)}), "invalid: model.hda requires"),
     (lambda a: a.update({"config.blocks": np.full(1, 3.0, np.float32)}), "invalid: block_count"),
+    (lambda a: a.update({"config.patch_size": np.zeros(1, np.float32)}),
+     "invalid: model.patch_size must be >= 1"),
+    (lambda a: a.update({"config.vocab_size": np.zeros(1, np.float32)}),
+     "invalid: model.vocab_size must be >= 1"),
 ], ids=["none", "missing", "unknown", "non-integral", "non-bool", "two-values",
-        "hda-without-da", "odd-blocks"])
+        "hda-without-da", "odd-blocks", "zero-patch", "zero-vocab"])
 def test_model_from_checkpoint_rejects_bad_config_records(edit, message):
     arrays = toy_model().checkpoint_arrays()
     edit(arrays)

@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from refvos.cli import (EXIT_BAD_CHECKPOINT, EXIT_FAILURE, EXIT_MISSING_TOKEN,
-                        EXIT_OK, main)
+from refvos.cli import (EXIT_BAD_CHECKPOINT, EXIT_FAILURE, EXIT_OK,
+                        EXIT_SHAPE_MISMATCH, main)
 from refvos.config import (RunConfig, load_config, parse_config,
                            serialize_config)
 from refvos.encoder import ConfigurationError
+from refvos.io import save_checkpoint, write_pgm, write_ppm
+from refvos.model import Model, ModelConfig
 
 
 TOY_LINES = """
@@ -30,6 +32,10 @@ train.checkpoint_interval = {steps}
 data.clips = 2
 data.frames = 3
 """
+
+
+TOY_MODEL = dict(patch_size=8, blocks=2, token_width=32, channels=32,
+                 adapter_width=4, hidden=32, text_width=32)
 
 
 def write_toy_config(tmp_path, steps=4, extra=""):
@@ -72,6 +78,18 @@ def test_parse_rejects_bad_lines():
         parse_config("train.nope = 3\n")
     with pytest.raises(ConfigurationError, match="boolean"):
         parse_config("model.itm = yes\n")
+    with pytest.raises(ConfigurationError, match="model.patch_size must be >= 1"):
+        parse_config("model.patch_size = 0\n")
+    with pytest.raises(ConfigurationError, match="model.vocab_size must be >= 1"):
+        parse_config("model.vocab_size = 0\n")
+
+
+@pytest.mark.parametrize("key", ["patch_size", "vocab_size"])
+def test_train_zero_model_size_exits_4(tmp_path, capsys, key):
+    cfg = write_toy_config(tmp_path, extra=f"model.{key} = 0\n")
+    code = main(["train", "--config", cfg, "--out-checkpoint", str(tmp_path / "m.ckpt")])
+    assert code == EXIT_SHAPE_MISMATCH
+    assert f"model.{key} must be >= 1" in capsys.readouterr().err
 
 
 def test_validate_hda_requires_da():
@@ -223,12 +241,52 @@ def test_infer_missing_token_exit_code(tmp_path, capsys):
     main(["generate", "--config", cfg, "--out", str(data)])
     main(["train", "--config", cfg, "--out-checkpoint", str(ckpt)])
     capsys.readouterr()
-    # hashing vocabulary accepts any token, so force a non-hashed failure:
+    # every token hashes into the vocabulary, so no token is missing;
     # an empty expression is a usage error surfaced as EXIT_FAILURE
     code = main(["infer", "--checkpoint", str(ckpt),
                  "--clip", str(data / "clip0000"), "--expr", " "])
     assert code == EXIT_FAILURE
-    assert EXIT_MISSING_TOKEN == 2   # contract pinned for file-backed vocabularies
+
+
+def _empty_clip(clip):
+    for sub in ("frames", "masks"):
+        for name in os.listdir(clip / sub):
+            os.remove(clip / sub / name)
+
+
+def _mixed_size_frames(clip):
+    write_ppm(clip / "frames" / "00001.ppm", np.full((3, 32, 32), 0.5))
+
+
+def _missing_mask(clip):
+    os.remove(clip / "masks" / "00002.pgm")
+
+
+def _small_mask(clip):
+    write_pgm(clip / "masks" / "00001.pgm", np.zeros((32, 32), np.uint8))
+
+
+@pytest.mark.parametrize("damage, command", [
+    (_empty_clip, "eval"), (_mixed_size_frames, "infer"), (_missing_mask, "train"),
+    (_small_mask, "overlay"),
+], ids=["empty-eval", "mixed-sizes-infer", "missing-mask-train", "small-mask-overlay"])
+def test_malformed_clip_exits_4(tmp_path, capsys, damage, command):
+    data = tmp_path / "data"   # one clip, so train samples the damaged one
+    cfg = write_toy_config(tmp_path, steps=1, extra=f"data.clips = 1\ndata.root = {data}\n")
+    main(["generate", "--config", cfg, "--out", str(data)])
+    damage(data / "clip0000")
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    argv = {"eval": ["eval", "--config", cfg, "--checkpoint", str(ckpt), "--data", str(data)],
+            "infer": ["infer", "--checkpoint", str(ckpt), "--clip", str(data / "clip0000"),
+                      "--out", str(tmp_path / "preds")],
+            "train": ["train", "--config", cfg, "--out-checkpoint", str(ckpt)],
+            "overlay": ["overlay", "--clip", str(data / "clip0000"),
+                        "--masks", str(data / "clip0000" / "masks"),
+                        "--out", str(tmp_path / "vis")]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_SHAPE_MISMATCH
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_overlay_writes_frames(tmp_path, capsys):
@@ -245,17 +303,12 @@ def test_overlay_writes_frames(tmp_path, capsys):
 # ---- ablation toggles -------------------------------------------------------
 
 def test_itm_toggle_frame1_identical_through_cli(tmp_path, capsys):
-    from refvos.io import save_checkpoint
-    from refvos.model import Model, ModelConfig
-
     cfg = write_toy_config(tmp_path)
     data = tmp_path / "data"
     main(["generate", "--config", cfg, "--out", str(data)])
-    base = dict(patch_size=8, blocks=2, token_width=32, channels=32,
-                adapter_width=4, hidden=32, text_width=32)
     ck_on, ck_off = tmp_path / "on.ckpt", tmp_path / "off.ckpt"
-    save_checkpoint(ck_on, Model(ModelConfig(**base, itm=True), seed=2).checkpoint_arrays())
-    save_checkpoint(ck_off, Model(ModelConfig(**base, itm=False), seed=2).checkpoint_arrays())
+    save_checkpoint(ck_on, Model(ModelConfig(**TOY_MODEL, itm=True), seed=2).checkpoint_arrays())
+    save_checkpoint(ck_off, Model(ModelConfig(**TOY_MODEL, itm=False), seed=2).checkpoint_arrays())
     p_on, p_off = tmp_path / "pon", tmp_path / "poff"
     main(["infer", "--checkpoint", str(ck_on), "--clip", str(data / "clip0000"),
           "--out", str(p_on)])

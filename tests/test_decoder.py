@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from refvos.autodiff import DimensionError, Tensor, grad_check
-from refvos.decoder import DecoderOutput, decode, init_decoder_params, select_mask
+from refvos.autodiff import DimensionError, Tensor, bilinear_resize, grad_check
+from refvos.decoder import DecoderOutput, decode, init_decoder_params
 from refvos.fusion import DenseEmbeddings, SparseEmbeddings
 from refvos.losses import LossConfig, dice_loss
+from refvos.tracking import select_mask
 
 
 C_V = 32
@@ -109,16 +110,21 @@ def test_grad_check_decode_to_dice():
         params["decoder.hyper0.fc3.weight"] = probe
 
 
+def resized(mask, h, w):
+    return (bilinear_resize(mask.reshape(1, *mask.shape), h, w).data[0] > 0).astype(np.uint8)
+
+
 def test_select_mask_argmax_and_tie():
     rng = np.random.default_rng(9)
     masks = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
     out = DecoderOutput(masks=masks, iou_scores=Tensor([0.9, 0.1, 0.1, 0.1]),
                         main_token_out=Tensor(np.zeros(4)))
-    assert np.array_equal(select_mask(out), (masks[0].data > 0).astype(np.uint8))
+    assert np.array_equal(select_mask(out, 8, 8), resized(masks[0], 8, 8))
     out.iou_scores = Tensor([0.4, 0.4, 0.4, 0.4])
-    assert np.array_equal(select_mask(out), (masks[0].data > 0).astype(np.uint8))
+    assert np.array_equal(select_mask(out, 8, 8), resized(masks[0], 8, 8))
     out.iou_scores = Tensor([0.2, 0.3, 0.9, 0.1])
-    assert np.array_equal(select_mask(out), (masks[2].data > 0).astype(np.uint8))
+    assert np.array_equal(select_mask(out, 8, 8), resized(masks[2], 8, 8))
+    assert np.array_equal(select_mask(out, 4, 4), (masks[2].data > 0).astype(np.uint8))
 
 
 def test_select_mask_monotone_invariance():
@@ -127,7 +133,7 @@ def test_select_mask_monotone_invariance():
     scores = np.array([0.2, 0.7, 0.5, 0.1])
     out = DecoderOutput(masks=masks, iou_scores=Tensor(scores),
                         main_token_out=Tensor(np.zeros(4)))
-    base = select_mask(out)
+    base = select_mask(out, 8, 8)
     for transform in (lambda s: s ** 3, lambda s: 5 * s + 1, np.exp):
         out.iou_scores = Tensor(transform(scores))
-        assert np.array_equal(select_mask(out), base)
+        assert np.array_equal(select_mask(out, 8, 8), base)

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from refvos.autodiff import Tensor, layer_norm, linear
-from refvos.encoder import (ConfigurationError, FileTextProvider,
-                            ReferringExpression, ToyTextProvider,
+from refvos.encoder import (ConfigurationError, ReferringExpression,
                             VisualEncoderConfig, adapter_forward, encode_frame,
-                            encode_text, freeze_partition, init_visual_params,
-                            pool_sentence)
-from refvos.io import read_embeddings, write_embeddings
+                            encode_text, freeze_partition, init_text_params,
+                            init_visual_params, pool_sentence)
 
 
 def toy_cfg(**kw):
@@ -29,9 +27,15 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         VisualEncoderConfig(block_count=3)
     with pytest.raises(ConfigurationError):
-        VisualEncoderConfig(block_count=4, tap_indices=(0, 5, 1))
-    with pytest.raises(ConfigurationError):
         VisualEncoderConfig(token_width=8, adapter_width=8)
+
+
+def test_tap_indices_derive_from_block_count():
+    assert VisualEncoderConfig(block_count=2).tap_indices == (0, 0, 1)
+    assert VisualEncoderConfig(block_count=4).tap_indices == (1, 2, 3)
+    assert VisualEncoderConfig(block_count=8).tap_indices == (2, 4, 6)
+    with pytest.raises(AttributeError):
+        VisualEncoderConfig().tap_indices = (0, 1, 2)
 
 
 def test_adapter_blocks_are_latter_half():
@@ -144,21 +148,22 @@ def test_expression_validation():
         ReferringExpression(words=["a"] * 40)
 
 
+def text_table(seed, width=16, vocab_size=4096):
+    return init_text_params(width, vocab_size, seed)["text.table"]
+
+
 def test_toy_text_identical_tokens_identical_rows():
-    provider = ToyTextProvider(embed_width=16, seed=0)
-    emb = encode_text(ReferringExpression(words=["cat", "cat"]), provider)
+    emb = encode_text(ReferringExpression(words=["cat", "cat"]), text_table(seed=0))
     assert np.array_equal(emb.words.data[0], emb.words.data[1])
 
 
 def test_single_word_sentence_equals_word():
-    provider = ToyTextProvider(embed_width=16, seed=0)
-    emb = encode_text(ReferringExpression(words=["dog"]), provider)
+    emb = encode_text(ReferringExpression(words=["dog"]), text_table(seed=0))
     assert np.allclose(emb.sentence.data, emb.words.data[0])
 
 
 def test_sentence_is_mean_of_words():
-    provider = ToyTextProvider(embed_width=16, seed=0)
-    emb = encode_text(ReferringExpression(words=["red", "square"]), provider)
+    emb = encode_text(ReferringExpression(words=["red", "square"]), text_table(seed=0))
     assert np.allclose(emb.sentence.data, emb.words.data.mean(axis=0))
 
 
@@ -169,23 +174,9 @@ def test_pool_sentence_cases():
 
 
 def test_text_encoding_deterministic():
-    a = encode_text(ReferringExpression(words=["blue", "circle"]),
-                    ToyTextProvider(embed_width=16, seed=9))
-    b = encode_text(ReferringExpression(words=["blue", "circle"]),
-                    ToyTextProvider(embed_width=16, seed=9))
+    a = encode_text(ReferringExpression(words=["blue", "circle"]), text_table(seed=9))
+    b = encode_text(ReferringExpression(words=["blue", "circle"]), text_table(seed=9))
     assert np.array_equal(a.words.data, b.words.data)
-
-
-def test_file_provider_round_trip_and_missing_token(tmp_path):
-    rng = np.random.default_rng(7)
-    vectors = {"red": rng.normal(size=8), "square": rng.normal(size=8)}
-    path = tmp_path / "emb.bin"
-    write_embeddings(path, vectors)
-    provider = FileTextProvider(read_embeddings(path))
-    emb = encode_text(ReferringExpression(words=["red", "square"]), provider)
-    assert np.allclose(emb.words.data[0], vectors["red"].astype(np.float32))
-    with pytest.raises(LookupError, match="banana"):
-        encode_text(ReferringExpression(words=["banana"]), provider)
 
 
 # ---- freezing -------------------------------------------------------------
