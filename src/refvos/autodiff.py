@@ -16,6 +16,7 @@ state it found. The state is process-wide, not per thread.
 """
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -248,6 +249,13 @@ class Tensor:
     def T(self):
         return self.transpose()
 
+    @property
+    def mT(self):
+        """The transpose of the last two axes, over any leading axes."""
+        axes = list(range(self.data.ndim))
+        axes[-2:] = axes[-1], axes[-2]
+        return self.transpose(axes)
+
     def __getitem__(self, idx):
         out = _make(self.data[idx], (self,), "getitem")
         if out._parents:
@@ -350,23 +358,22 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 def conv1x1(x, W, b=None):
-    """Per-pixel linear map: x is (C_in, H, W), W is (C_in, C_out)."""
-    if x.data.ndim != 3:
-        raise DimensionError("conv1x1: input must be (C, H, W)")
-    cin, h, w = x.shape
+    """Per-pixel linear map: x is (..., C_in, H, W), W is (C_in, C_out)."""
+    if x.data.ndim < 3:
+        raise DimensionError("conv1x1: input must be (..., C, H, W)")
+    *lead, cin, h, w = x.shape
     if cin != W.shape[0]:
         raise DimensionError(f"conv1x1: channel mismatch ({cin} vs {W.shape[0]})")
     cout = W.shape[1]
-    y = linear(x.reshape(cin, h * w).transpose(1, 0), W, b)
-    return y.transpose(1, 0).reshape(cout, h, w)
+    y = linear(x.reshape(*lead, cin, h * w).mT, W, b)
+    return y.mT.reshape(*lead, cout, h, w)
 
 
+@functools.lru_cache(maxsize=32)
 def _interp_matrix(n_out, n_in, dtype):
+    """The (n_out, n_in) interpolation matrix; cached, so read-only."""
     # half-pixel sampling, clamped at the borders
     m = np.zeros((n_out, n_in), dtype=dtype)
-    if n_in == 1:
-        m[:, 0] = 1.0
-        return m
     scale = n_in / n_out
     for i in range(n_out):
         src = min(max((i + 0.5) * scale - 0.5, 0.0), n_in - 1.0)
@@ -375,6 +382,7 @@ def _interp_matrix(n_out, n_in, dtype):
         w = src - lo
         m[i, lo] += 1.0 - w
         m[i, hi] += w
+    m.setflags(write=False)
     return m
 
 

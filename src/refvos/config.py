@@ -1,5 +1,6 @@
 """Flat 'section.key = value' run configuration."""
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .encoder import ConfigurationError
@@ -55,8 +56,9 @@ class RunConfig:
         if self.train.n_frames < 1:
             raise ConfigurationError("train.n_frames must be >= 1")
         for name in ("lr_cmm", "lr_hda", "lr_decoder", "lr_adapter", "lr_itm"):
-            if getattr(self.train, name) <= 0:
-                raise ConfigurationError(f"train.{name} must be > 0")
+            lr = getattr(self.train, name)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ConfigurationError(f"train.{name} must be finite and > 0, got {lr}")
         return self
 
     def model_config(self):
@@ -105,7 +107,11 @@ def parse_config(text):
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         ftype = {"int": int, "float": float, "bool": bool, "str": str}.get(
             ftypes[field_name], ftypes[field_name])
-        setattr(section, field_name, _convert(raw, ftype))
+        try:
+            value = _convert(raw, ftype)
+        except ValueError as exc:   # int() and float() reject malformed numbers
+            raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        setattr(section, field_name, value)
     return cfg.validate()
 
 

@@ -1,5 +1,6 @@
 """Frame encoding with adapter tuning, and referring-expression embedding."""
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -46,8 +47,12 @@ class VisualEncoderConfig:
 
 @dataclass
 class FrameFeatures:
-    final: Tensor      # (C_v, H0, W0)
-    mids: list         # 3 x (C_mid, H0, W0)
+    final: Tensor      # (..., C_v, H0, W0)
+    mids: list         # 3 x (..., C_mid, H0, W0)
+
+    def __getitem__(self, t):
+        """The features of frame t of a stack."""
+        return FrameFeatures(final=self.final[t], mids=[m[t] for m in self.mids])
 
 
 @dataclass
@@ -115,8 +120,10 @@ def init_visual_params(cfg, rng, dtype=np.float64, with_adapters=True):
     return p
 
 
+@functools.lru_cache(maxsize=32)
 def sinusoidal_grid(width, h, w, dtype=np.float64):
-    """Fixed 2-D sin/cos positional table, shape (h*w, width)."""
+    """Fixed 2-D sin/cos positional table, shape (h*w, width); cached, so
+    read-only."""
     if width % 4 != 0:
         raise ConfigurationError("positional width must be divisible by 4")
     quarter = width // 4
@@ -124,7 +131,9 @@ def sinusoidal_grid(width, h, w, dtype=np.float64):
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     ys = ys.reshape(-1, 1) * freq
     xs = xs.reshape(-1, 1) * freq
-    return np.concatenate([np.sin(ys), np.cos(ys), np.sin(xs), np.cos(xs)], axis=1).astype(dtype)
+    grid = np.concatenate([np.sin(ys), np.cos(ys), np.sin(xs), np.cos(xs)], axis=1).astype(dtype)
+    grid.setflags(write=False)
+    return grid
 
 
 def adapter_forward(tokens, params, prefix):
@@ -140,27 +149,35 @@ def attention(q_in, kv_in, params, prefix):
     q = linear(q_in, params[prefix + "wq.weight"], params[prefix + "wq.bias"])
     k = linear(kv_in, params[prefix + "wk.weight"], params[prefix + "wk.bias"])
     v = linear(kv_in, params[prefix + "wv.weight"], params[prefix + "wv.bias"])
-    att = softmax(q @ k.T * (1.0 / np.sqrt(d)), axis=-1)
+    att = softmax(q @ k.mT * (1.0 / np.sqrt(d)), axis=-1)
     return linear(att @ v, params[prefix + "wo.weight"], params[prefix + "wo.bias"])
 
 
 def encode_frame(frame, cfg, params, use_adapter=True):
-    """Run one frame (3, H, W ndarray in [0, 1]) through the encoder."""
-    frame = np.asarray(frame)
-    if frame.ndim != 3 or frame.shape[0] != 3:
-        raise DimensionError("frame must be (3, H, W)")
-    _, h, w = frame.shape
+    """Run a frame (a (3, H, W) array in [0, 1]) or a stack of equally sized
+    frames ((..., 3, H, W), or a sequence of frames) through the encoder.
+    Frames do not interact: the features keep the leading axes, and each
+    frame's features equal those of its own rank-3 call bit for bit."""
+    try:
+        frame = np.asarray(frame)
+    except ValueError as exc:    # a sequence of frames of mixed sizes
+        raise DimensionError("frames encoded together must share one size") from exc
+    if frame.ndim < 3 or frame.shape[-3] != 3:
+        raise DimensionError("frame must be (..., 3, H, W)")
+    *lead, _, h, w = frame.shape
     ps = cfg.patch_size
     if h % ps or w % ps:
         raise DimensionError(f"frame dims must be divisible by patch size {ps}")
     h0, w0 = h // ps, w // ps
     d = cfg.token_width
-    patches = (frame.reshape(3, h0, ps, w0, ps)
-               .transpose(1, 3, 0, 2, 4)
-               .reshape(h0 * w0, 3 * ps * ps))
     dtype = params["encoder.patch.weight"].dtype
-    tokens = linear(Tensor(patches.astype(dtype)),
-                    params["encoder.patch.weight"], params["encoder.patch.bias"])
+    # (..., 3, h0, ps, w0, ps) -> (..., h0, w0, 3, ps, ps)
+    patches = np.moveaxis(frame.reshape(*lead, 3, h0, ps, w0, ps), (-4, -2), (-5, -4))
+    patches = Tensor(patches.reshape(*lead, h0 * w0, 3 * ps * ps).astype(dtype, copy=False))
+    # a stack's frames and patch rows are its largest arrays: free each once used
+    del frame
+    tokens = linear(patches, params["encoder.patch.weight"], params["encoder.patch.bias"])
+    del patches
     tokens = tokens + Tensor(sinusoidal_grid(d, h0, w0, dtype))
 
     taps = {}
@@ -178,10 +195,10 @@ def encode_frame(frame, cfg, params, use_adapter=True):
         if i in cfg.tap_indices:
             taps[i] = tokens
 
-    mids = [taps[i].transpose(1, 0).reshape(cfg.mid_channels, h0, w0) for i in cfg.tap_indices]
+    mids = [taps[i].mT.reshape(*lead, cfg.mid_channels, h0, w0) for i in cfg.tap_indices]
     neck = linear(tokens, params["encoder.neck.proj.weight"], params["encoder.neck.proj.bias"])
     neck = layer_norm(neck, params["encoder.neck.ln.gamma"], params["encoder.neck.ln.beta"])
-    final = neck.transpose(1, 0).reshape(cfg.out_channels, h0, w0)
+    final = neck.mT.reshape(*lead, cfg.out_channels, h0, w0)
     return FrameFeatures(final=final, mids=mids)
 
 

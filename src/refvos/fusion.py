@@ -17,13 +17,17 @@ class SparseEmbeddings:
 @dataclass
 class DenseAttentionTrace:
     tokens: Tensor     # (L+1, C_v), sentence row first
-    attn: Tensor       # (H0*W0, L+1), rows sum to 1
-    attended: Tensor   # (H0*W0, C_v)
+    attn: Tensor       # (..., H0*W0, L+1), rows sum to 1
+    attended: Tensor   # (..., H0*W0, C_v)
 
 
 @dataclass
 class DenseEmbeddings:
-    map: Tensor        # (C_v, H0, W0)
+    map: Tensor        # (..., C_v, H0, W0)
+
+    def __getitem__(self, t):
+        """The dense map of frame t of a stack."""
+        return DenseEmbeddings(map=self.map[t])
 
 
 def init_cross_modal_params(embed_width, hidden, out_width, rng, dtype=np.float64):
@@ -78,18 +82,19 @@ def init_hda_params(c_v, c_mid, rng, dtype=np.float64):
 def dense_attention(feat, sparse, params, prefix="hda.da0."):
     """Pixel-to-token attention producing a dense conditioning map.
 
-    feat: (C_v, H0, W0). Each pixel attends over [sentence; words] with
-    scaled dot-product similarity, and the attended token mixture is fused
-    back with the visual features through a 1x1 convolution.
+    feat: (..., C_v, H0, W0), frames along the leading axes. Each pixel
+    attends over [sentence; words] with scaled dot-product similarity, and
+    the attended token mixture is fused back with the visual features
+    through a 1x1 convolution.
     """
-    c_v, h0, w0 = feat.shape
+    *lead, c_v, h0, w0 = feat.shape
     if sparse.words.shape[-1] != c_v:
         raise DimensionError("dense_attention: token width must equal feature channels")
     tokens = concat([sparse.sentence.reshape(1, c_v), sparse.words], axis=0)   # (L+1, C_v)
-    pixels = feat.reshape(c_v, h0 * w0).transpose(1, 0)                        # (HW, C_v)
+    pixels = feat.reshape(*lead, c_v, h0 * w0).mT                              # (..., HW, C_v)
     attn = softmax(pixels @ tokens.T * (1.0 / np.sqrt(c_v)), axis=-1)
-    attended = attn @ tokens                                                   # (HW, C_v)
-    fused = concat([attended.transpose(1, 0).reshape(c_v, h0, w0), feat], axis=0)
+    attended = attn @ tokens                                                   # (..., HW, C_v)
+    fused = concat([attended.mT.reshape(*lead, c_v, h0, w0), feat], axis=-3)
     dense = conv1x1(fused, params[prefix + "conv.weight"], params[prefix + "conv.bias"])
     return (DenseEmbeddings(map=dense),
             DenseAttentionTrace(tokens=tokens, attn=attn, attended=attended))

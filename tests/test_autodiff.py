@@ -86,6 +86,54 @@ def test_conv1x1_matches_loop_oracle():
         assert np.allclose(y, expect, atol=0, rtol=0) or np.allclose(y, expect, atol=1e-12)
 
 
+def test_conv1x1_stack_equals_per_frame_calls():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2, 3, 5, 4, 6))
+    W, b = Tensor(rng.normal(size=(5, 7))), Tensor(rng.normal(size=7))
+    y = conv1x1(Tensor(x), W, b)
+    assert y.shape == (2, 3, 7, 4, 6)
+    for i in range(2):
+        for t in range(3):
+            assert np.array_equal(y.data[i, t], conv1x1(Tensor(x[i, t]), W, b).data)
+    assert grad_check(lambda v: (conv1x1(v.reshape(2, 5, 2, 2), W, b) ** 2.0).sum(),
+                      Tensor(rng.normal(size=40))) < 1e-6
+
+
+def bilinear_oracle(x, out_h, out_w):
+    """Per-pixel half-pixel bilinear interpolation, clamped at the borders."""
+    c, h, w = x.shape
+
+    def source(i, n_out, n_in):
+        s = min(max((i + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
+        lo = int(np.floor(s))
+        return lo, min(lo + 1, n_in - 1), s - lo
+
+    out = np.zeros((c, out_h, out_w))
+    for i in range(out_h):
+        y0, y1, fy = source(i, out_h, h)
+        for j in range(out_w):
+            x0, x1, fx = source(j, out_w, w)
+            out[:, i, j] = ((1 - fy) * ((1 - fx) * x[:, y0, x0] + fx * x[:, y0, x1])
+                            + fy * ((1 - fx) * x[:, y1, x0] + fx * x[:, y1, x1]))
+    return out
+
+
+def test_cached_tables_are_read_only_and_resize_unchanged():
+    from refvos.autodiff import _interp_matrix
+    from refvos.encoder import sinusoidal_grid
+    for table in (_interp_matrix(7, 3, np.dtype(np.float64)), sinusoidal_grid(8, 2, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+    assert _interp_matrix(7, 3, np.dtype(np.float64)) is _interp_matrix(7, 3, np.dtype(np.float64))
+    x = np.random.default_rng(6).normal(size=(2, 3, 5))
+    for out_h, out_w in ((7, 9), (1, 5), (3, 5), (2, 2)):
+        first = bilinear_resize(Tensor(x), out_h, out_w).data
+        assert np.array_equal(bilinear_resize(Tensor(x), out_h, out_w).data, first)
+        assert np.allclose(first, bilinear_oracle(x, out_h, out_w), rtol=0, atol=1e-12)
+    one = np.random.default_rng(7).normal(size=(1, 1, 1))
+    assert np.array_equal(bilinear_resize(Tensor(one), 3, 2).data, np.broadcast_to(one, (1, 3, 2)))
+
+
 def test_bilinear_resize_identity_and_constant():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 5, 5))

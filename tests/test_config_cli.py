@@ -82,6 +82,13 @@ def test_parse_rejects_bad_lines():
         parse_config("model.patch_size = 0\n")
     with pytest.raises(ConfigurationError, match="model.vocab_size must be >= 1"):
         parse_config("model.vocab_size = 0\n")
+    with pytest.raises(ConfigurationError, match="line 2: bad value for 'model.blocks'"):
+        parse_config("train.seed = 1\nmodel.blocks = two\n")
+    with pytest.raises(ConfigurationError, match="line 1: bad value for 'train.lr_cmm'"):
+        parse_config("train.lr_cmm = fast\n")
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigurationError, match="train.lr_hda must be finite"):
+            parse_config(f"train.lr_hda = {bad}\n")
 
 
 @pytest.mark.parametrize("key", ["patch_size", "vocab_size"])
@@ -90,6 +97,20 @@ def test_train_zero_model_size_exits_4(tmp_path, capsys, key):
     code = main(["train", "--config", cfg, "--out-checkpoint", str(tmp_path / "m.ckpt")])
     assert code == EXIT_SHAPE_MISMATCH
     assert f"model.{key} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("model.blocks = two", "line 19: bad value for 'model.blocks'"),
+    ("train.lr_cmm = nan", "train.lr_cmm must be finite"),
+])
+def test_train_bad_value_exits_4_before_step_1(tmp_path, capsys, line, message):
+    cfg = write_toy_config(tmp_path, extra=line + "\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", cfg, "--out-checkpoint", str(ckpt)]) == EXIT_SHAPE_MISMATCH
+    out, err = capsys.readouterr()
+    assert message in err
+    assert "step=" not in out
+    assert not ckpt.exists()
 
 
 def test_validate_hda_requires_da():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refvos.autodiff import Tensor, layer_norm, linear
+from refvos.autodiff import DimensionError, Tensor, layer_norm, linear
 from refvos.encoder import (ConfigurationError, ReferringExpression,
                             VisualEncoderConfig, adapter_forward, encode_frame,
                             encode_text, freeze_partition, init_text_params,
@@ -64,6 +64,32 @@ def test_encode_frame_rejects_indivisible_dims():
     cfg = toy_cfg()
     with pytest.raises(Exception):
         encode_frame(np.zeros((3, 60, 64)), cfg, toy_params(cfg))
+
+
+def test_encode_frame_stack_equals_per_frame_calls():
+    cfg = toy_cfg()
+    params = toy_params(cfg)
+    rng = np.random.default_rng(9)
+    for p in params.values():     # nonzero adapters, so every branch counts
+        p.data = p.data + rng.normal(0.0, 0.1, p.data.shape)
+    frames = rng.random((2, 3, 3, 64, 32))
+    stacked = encode_frame(frames, cfg, params)
+    listed = encode_frame(list(frames[1]), cfg, params)
+    assert stacked.final.shape == (2, 3, 32, 8, 4)
+    assert np.array_equal(listed.final.data, stacked.final.data[1])
+    for i in range(2):
+        for t in range(3):
+            one = encode_frame(frames[i, t], cfg, params)
+            assert np.array_equal(stacked[i][t].final.data, one.final.data)
+            for a, b in zip(stacked[i][t].mids, one.mids, strict=True):
+                assert np.array_equal(a.data, b.data)
+
+
+def test_encode_frame_rejects_mixed_sizes():
+    cfg = toy_cfg()
+    rng = np.random.default_rng(10)
+    with pytest.raises(DimensionError, match="share one size"):
+        encode_frame([rand_frame(rng), rand_frame(rng, w=32)], cfg, toy_params(cfg))
 
 
 def test_encode_frame_deterministic():

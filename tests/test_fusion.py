@@ -168,6 +168,24 @@ def test_hda_equals_sum_of_branches():
     assert np.array_equal(total.map.data, acc)
 
 
+def test_hda_stack_equals_per_frame_calls():
+    rng = np.random.default_rng(12)
+    c_v, c_mid, frames = 8, 4, 5
+    params = init_hda_params(c_v, c_mid, rng)
+    sparse = make_sparse(rng, 3, c_v)
+    ff = FrameFeatures(final=Tensor(rng.normal(size=(frames, c_v, 3, 2))),
+                       mids=[Tensor(rng.normal(size=(frames, c_mid, 3, 2))) for _ in range(3)])
+    total = hierarchical_dense_attention(ff, sparse, params)
+    out, trace = dense_attention(ff.final, sparse, params)
+    assert total.map.shape == (frames, c_v, 3, 2)
+    for t in range(frames):
+        assert np.array_equal(total[t].map.data,
+                              hierarchical_dense_attention(ff[t], sparse, params).map.data)
+        one, one_trace = dense_attention(ff.final[t], sparse, params)
+        assert np.array_equal(out[t].map.data, one.map.data)
+        assert np.array_equal(trace.attn.data[t], one_trace.attn.data)
+
+
 def test_grad_check_through_projection_and_attention():
     rng = np.random.default_rng(11)
     c_e, c_v = 4, 4

@@ -91,6 +91,40 @@ def test_online_causality_prefix_replay():
         assert all(np.array_equal(full[i], prefix[i]) for i in range(t))
 
 
+def test_segment_clip_passes_equal_rank3_frame_loop(monkeypatch):
+    from refvos import tracking
+    from refvos.autodiff import no_grad
+    from refvos.data import VideoClip
+    model = toy_model()
+    rng = np.random.default_rng(6)
+    for p in model.params.values():   # nonzero adapters and track update
+        p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
+    short, expr, _ = toy_clip(frames=5)
+    clip = VideoClip(frames=[short.frames[t % 5] * (1.0 - 0.01 * t) for t in range(19)])
+
+    with no_grad():
+        sparse = model.sparse_embeddings(model.encode_text(expr))
+        track, expect = None, []
+        for frame in clip.frames:
+            ff = model.encode_frame(frame)
+            out = model.decode(ff, sparse, model.dense_embeddings(ff, sparse), track)
+            expect.append((tracking.select_mask(out, 64, 64), out))
+            track = track_update(out.main_token_out, model.params)
+
+    passes, outs = [], []
+    encode, decode = model.encode_frame, model.decode
+    monkeypatch.setattr(model, "encode_frame", lambda f: passes.append(len(f)) or encode(f))
+    monkeypatch.setattr(model, "decode", lambda *a: outs.append(decode(*a)) or outs[-1])
+    masks = segment_clip(model, clip, expr)
+    assert passes == [8, 8, 3]
+    for mask, out, (mask_ref, out_ref) in zip(masks, outs, expect, strict=True):
+        assert np.array_equal(mask, mask_ref)
+        assert np.array_equal(out.iou_scores.data, out_ref.iou_scores.data)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(out.masks, out_ref.masks))
+    prefix = segment_clip(model, VideoClip(frames=clip.frames[:10]), expr)
+    assert all(np.array_equal(a, b) for a, b in zip(prefix, masks[:10], strict=True))
+
+
 def test_frame1_independent_of_itm_params():
     a = toy_model(itm=True)
     b = toy_model(itm=False)
