@@ -2,12 +2,28 @@
 
 Only the operations the segmentation model needs are provided. Tensors are
 immutable once produced by an op; every op validates that its output is
-finite and raises NonFiniteError naming the offending op otherwise.
+finite and raises NonFiniteError naming the offending op otherwise. The ops
+that cannot turn a finite input into a non-finite output (reshape,
+transpose, getitem, concat, neg, relu) skip that scan.
 
-Each op output records its parents and a backward closure that receives the
+An op output records its parents and a backward closure only when some
+parent requires a gradient; the output then requires one too. Constants,
+and everything computed from constants and frozen parameters alone
+(`requires_grad=False`), record nothing, and `Tensor.backward` walks and
+fills only tensors that require a gradient. A closure receives the
 output's gradient and holds only the arrays it needs, never the output
 itself. A graph is therefore acyclic and is freed by reference counting as
 soon as its last output is dropped.
+
+`linear` (matmul and bias), `softmax` and `layer_norm` are single fused
+ops. Each runs the numpy expressions of its chain of primitive ops
+(`x @ W + b`; `exp(x - max) / sum`; `(x - mean) * (var + eps) ** -0.5 *
+gamma + beta`) in the same order, and its backward repeats that chain's
+gradient arithmetic in the chain's order, including the two separate
+accumulations into a layer_norm input. Floating-point sums depend on their
+order, so every value and gradient stays bit-identical to the chain, and
+same-seed training runs stay byte-identical; a textbook analytic backward
+would change their last bits.
 
 Inside a `with no_grad():` block ops record no parents and no closure, so
 inference keeps no graph alive; outputs are still checked for finiteness.
@@ -32,7 +48,7 @@ class DimensionError(ValueError):
 
 
 def _check_finite(data, op):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
 
 
@@ -95,7 +111,11 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def _accum(self, g):
-        g = _unbroadcast(np.asarray(g), self.data.shape).reshape(self.data.shape)
+        if not self.requires_grad:
+            return
+        g = np.asarray(g)
+        if g.shape != self.data.shape:
+            g = _unbroadcast(g, self.data.shape).reshape(self.data.shape)
         if self.grad is None:
             self.grad = g.astype(self.data.dtype, copy=True)
         else:
@@ -111,12 +131,13 @@ class Tensor:
             if done:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                stack.append((p, False))
+                if p.requires_grad:
+                    stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
@@ -154,8 +175,10 @@ class Tensor:
         out = _make(self.data * other.data, (self, other), "mul")
         if out._parents:
             def bwd(g):
-                self._accum(g * other.data)
-                other._accum(g * self.data)
+                if self.requires_grad:
+                    self._accum(g * other.data)
+                if other.requires_grad:
+                    other._accum(g * self.data)
 
             out._backward = bwd
         return out
@@ -183,8 +206,10 @@ class Tensor:
         out = _make(np.matmul(self.data, other.data), (self, other), "matmul")
         if out._parents:
             def bwd(g):
-                self._accum(np.matmul(g, other.data.swapaxes(-1, -2)))
-                other._accum(np.matmul(self.data.swapaxes(-1, -2), g))
+                if self.requires_grad:
+                    self._accum(np.matmul(g, other.data.swapaxes(-1, -2)))
+                if other.requires_grad:
+                    other._accum(np.matmul(self.data.swapaxes(-1, -2), g))
 
             out._backward = bwd
         return out
@@ -241,7 +266,7 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         out = _make(self.data.transpose(axes), (self,), "transpose")
         if out._parents:
-            inv = np.argsort(axes)
+            inv = sorted(range(len(axes)), key=axes.__getitem__)
             out._backward = lambda g: self._accum(g.transpose(inv))
         return out
 
@@ -289,19 +314,28 @@ def _as_tensor(x, dtype):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+# ops whose output is finite whenever their input is
+_FINITE_PRESERVING = frozenset(("reshape", "transpose", "getitem", "concat", "neg", "relu"))
+
+
 def _make(data, parents, op):
-    """Wrap an op's checked output. Outside `no_grad` it records `parents`,
-    and the caller attaches a backward closure when `out._parents` is set."""
-    _check_finite(data, op)
+    """Wrap an op's checked output. Outside `no_grad`, when some parent
+    requires a gradient, it records `parents` and requires a gradient
+    itself; the caller attaches a backward closure when `out._parents` is
+    set."""
+    if op not in _FINITE_PRESERVING:
+        _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out.requires_grad = False
+    out._parents = ()
     if _recording:
-        out.requires_grad = any(p.requires_grad or p._parents for p in parents)
-        out._parents = parents
-    else:
-        out.requires_grad = False
-        out._parents = ()
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                break
     out._backward = None
     out._op = op
     return out
@@ -323,16 +357,36 @@ def concat(tensors, axis=0):
 # ---- neural-net building blocks -----------------------------------------
 
 def linear(x, W, b=None):
-    """y = x W + b over the last axis of x."""
+    """y = x W + b over the last axis of x, as one op. A 1-D x runs as a
+    (1, C) row, so it gets the values of `x.reshape(1, -1) @ W + b`."""
     if x.shape[-1] != W.shape[0]:
         raise DimensionError(f"linear: inner extents differ ({x.shape[-1]} vs {W.shape[0]})")
+    if W.data.ndim < 2:
+        raise DimensionError("matmul operands must have rank >= 2")
     squeeze = x.data.ndim == 1
-    if squeeze:
-        x = x.reshape(1, -1)
-    y = x @ W
-    if b is not None:
-        y = y + b
-    return y.reshape(y.shape[1:]) if squeeze else y
+    x2 = x.data.reshape(1, -1) if squeeze else x.data
+    xw = np.matmul(x2, W.data)
+    y = xw if b is None else xw + b.data
+    out = _make(y.reshape(y.shape[1:]) if squeeze else y,
+                (x, W) if b is None else (x, W, b), "linear")
+    if out._parents:
+        y_shape, y_dtype, xw_dtype = y.shape, y.dtype, xw.dtype
+
+        def bwd(g):
+            # the composite's order: bias (the add), then x and W (the matmul)
+            if squeeze:
+                g = g.reshape(y_shape).astype(y_dtype, copy=False)
+            if b is not None:
+                b._accum(g)
+                g = g.astype(xw_dtype, copy=False)
+            if x.requires_grad:
+                gx = np.matmul(g, W.data.swapaxes(-1, -2))
+                x._accum(gx.astype(x2.dtype, copy=False).reshape(x.shape) if squeeze else gx)
+            if W.requires_grad:
+                W._accum(np.matmul(x2.swapaxes(-1, -2), g))
+
+        out._backward = bwd
+    return out
 
 
 def relu(x):
@@ -340,21 +394,63 @@ def relu(x):
 
 
 def softmax(x, axis=-1):
+    """exp(x - max) / sum, as one op over `axis`."""
     if axis >= x.data.ndim or axis < -x.data.ndim:
         raise DimensionError(f"softmax: axis {axis} out of range for rank {x.data.ndim}")
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    z = x.data + (-x.data.max(axis=axis, keepdims=True))
+    # the only way to a non-finite value inside: an input range beyond the float range
+    _check_finite(z, "softmax")
+    e = np.exp(z)
+    s = e.sum(axis=axis, keepdims=True)
+    r = s ** -1.0
+    out = _make(e * r, (x,), "softmax")
+    if out._parents:
+        def bwd(g):
+            # e * r, r = s ** -1, s = e.sum: e gets g * r, then the sum's share
+            gs = _unbroadcast(g * e, r.shape).astype(r.dtype, copy=False) * -1.0 * s ** -2.0
+            ge = (g * r).astype(e.dtype, copy=False) + gs
+            x._accum(ge * e)
+
+        out._backward = bwd
+    return out
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift, as one op."""
     if eps <= 0:
         raise DimensionError("layer_norm: eps must be > 0")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * (var + eps) ** -0.5 * gamma + beta
+    xd = x.data
+    inv_n = np.asarray(1.0 / xd.shape[-1], dtype=xd.dtype)
+    xc = xd + (-(xd.sum(axis=-1, keepdims=True) * inv_n))
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
+    # an overflow in xc * xc gives var = inf and a finite output of beta
+    _check_finite(var, "layer_norm")
+    ve = var + np.asarray(eps, dtype=var.dtype)
+    rs = ve ** -0.5
+    a = xc * rs
+    scaled = a * gamma.data
+    out = _make(scaled + beta.data, (x, gamma, beta), "layer_norm")
+    if out._parents:
+        scaled_dtype = scaled.dtype
+
+        def bwd(g):
+            # the composite ((xc * rs) * gamma) + beta, xc = x - mean(x),
+            # rs = (mean(xc * xc) + eps) ** -0.5, in its reverse order
+            beta._accum(g)
+            g = g.astype(scaled_dtype, copy=False)
+            if gamma.requires_grad:
+                gamma._accum(g * a)
+            if not x.requires_grad:
+                return
+            ga = (g * gamma.data).astype(a.dtype, copy=False)
+            grs = _unbroadcast(ga * xc, rs.shape)
+            gsq = grs * -0.5 * ve ** -1.5 * inv_n
+            gxc = ga * rs + gsq * xc + gsq * xc
+            x._accum(gxc)
+            x._accum(np.broadcast_to(-_unbroadcast(gxc, rs.shape) * inv_n, xd.shape))
+
+        out._backward = bwd
+    return out
 
 
 def conv1x1(x, W, b=None):

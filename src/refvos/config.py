@@ -76,7 +76,7 @@ class RunConfig:
                 "adapter": t.lr_adapter, "itm": t.lr_itm}
 
 
-def _convert(raw, ftype):
+def _convert(raw, ftype, key):
     if ftype is bool:
         if raw not in ("true", "false"):
             raise ConfigurationError(f"boolean must be 'true' or 'false', got {raw!r}")
@@ -84,7 +84,10 @@ def _convert(raw, ftype):
     if ftype is int:
         return int(raw)
     if ftype is float:
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {raw}")
+        return value
     return raw
 
 
@@ -108,8 +111,8 @@ def parse_config(text):
         ftype = {"int": int, "float": float, "bool": bool, "str": str}.get(
             ftypes[field_name], ftypes[field_name])
         try:
-            value = _convert(raw, ftype)
-        except ValueError as exc:   # int() and float() reject malformed numbers
+            value = _convert(raw, ftype, key)
+        except ValueError as exc:   # also int() and float() on malformed numbers
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         setattr(section, field_name, value)
     return cfg.validate()

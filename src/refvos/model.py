@@ -80,6 +80,8 @@ class Model:
         if cfg.itm:
             self.params.update(init_itm_params(
                 cfg.channels, np.random.default_rng(seed + SEED_ITM), dtype))
+        for name in self.partition()[0]:   # frozen: no gradient is recorded for them
+            self.params[name].requires_grad = False
 
     # ---- forward pieces --------------------------------------------------
 

@@ -62,6 +62,10 @@ def test_acceptance_1_gradient_integrity():
     def loss_value():
         return float(clip_loss(model, clip.frames, expr, gts, cfg)[0].data)
 
+    # frozen parameters record no gradient; let every parameter record one,
+    # so the probe below checks the frozen ones too
+    for p in model.params.values():
+        p.requires_grad = True
     loss, _, _ = clip_loss(model, clip.frames, expr, gts, cfg)
     for p in model.params.values():
         p.grad = None

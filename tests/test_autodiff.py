@@ -263,3 +263,141 @@ def test_no_grad_still_raises_nonfinite_with_op_name():
             Tensor([0.0]).log()
         with pytest.raises(NonFiniteError, match="mul"), np.errstate(over="ignore"):
             Tensor([np.finfo(np.float64).max]) * Tensor([2.0])
+
+
+# ---- fused ops against the composites they replace ---------------------------
+
+def _linear_composite(x, W, b=None):
+    squeeze = x.data.ndim == 1
+    if squeeze:
+        x = x.reshape(1, -1)
+    y = x @ W
+    if b is not None:
+        y = y + b
+    return y.reshape(y.shape[1:]) if squeeze else y
+
+
+def _softmax_composite(x, axis=-1):
+    shift = Tensor(x.data.max(axis=axis, keepdims=True))
+    e = (x - shift).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _layer_norm_composite(x, gamma, beta, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc * (var + eps) ** -0.5 * gamma + beta
+
+
+def _run_bitwise(op, arrays, residual_first, seed):
+    """Forward and backward of op over fresh leaves built from `arrays`; the
+    loss also reads the op's (scaled) first input, so that input has a
+    second consumer, placed before or after the op's output."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    h = leaves[0] * 1.5
+    y = op(h, *leaves[1:])
+    c = Tensor(np.random.default_rng(seed).normal(size=y.shape))
+    total = (h + y) if residual_first else (y + h)
+    (total * c).sum().backward()
+    return [y.data] + [t.grad for t in leaves]
+
+
+def _assert_bitwise(fused, composite, arrays, seed=0):
+    for residual_first in (False, True):
+        got = _run_bitwise(fused, arrays, residual_first, seed)
+        want = _run_bitwise(composite, arrays, residual_first, seed)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("x_shape", [(6,), (5, 6), (3, 4, 6)])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_fused_linear_is_bitwise_the_composite(x_shape, with_bias):
+    rng = np.random.default_rng(len(x_shape))
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 6))]
+    if with_bias:
+        arrays.append(rng.normal(size=6))
+    _assert_bitwise(linear, _linear_composite, arrays)
+
+
+@pytest.mark.parametrize("axis", [-1, 0, 1, 2])
+def test_fused_softmax_is_bitwise_the_composite(axis):
+    x = np.random.default_rng(11).normal(size=(3, 4, 5)) * 3.0
+    _assert_bitwise(lambda t: softmax(t, axis=axis),
+                    lambda t: _softmax_composite(t, axis=axis), [x], seed=axis + 1)
+
+
+@pytest.mark.parametrize("x_shape", [(7, 8), (2, 3, 8), (1, 8)])
+def test_fused_layer_norm_is_bitwise_the_composite(x_shape):
+    rng = np.random.default_rng(12)
+    arrays = [rng.normal(size=x_shape) * 2.0 + 0.5, rng.normal(size=8), rng.normal(size=8)]
+    _assert_bitwise(layer_norm, _layer_norm_composite, arrays)
+
+
+def test_fused_ops_pass_grad_check():
+    rng = np.random.default_rng(13)
+    W, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
+    x2 = Tensor(rng.normal(size=(2, 5, 4)))
+    g, beta = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+    c = Tensor(rng.normal(size=(2, 5, 4)))
+    checks = [
+        (lambda x: (linear(x.reshape(2, 5, 4), W, b) ** 2.0).sum(), 40),
+        (lambda x: (linear(x, W) ** 2.0).sum(), 4),
+        (lambda w: (linear(x2, w.reshape(4, 3), b) ** 2.0).sum(), 12),
+        (lambda v: (linear(x2, W, v) ** 2.0).sum(), 3),
+        (lambda x: (softmax(x.reshape(2, 5, 4), axis=1) * c).sum(), 40),
+        (lambda x: (softmax(x.reshape(2, 5, 4), axis=-1) * c).sum(), 40),
+        (lambda x: (layer_norm(x.reshape(2, 5, 4), g, beta) * c).sum(), 40),
+        (lambda v: (layer_norm(x2, v, beta) * c).sum(), 4),
+        (lambda v: (layer_norm(x2, g, v) * c).sum(), 4),
+    ]
+    for f, size in checks:
+        assert grad_check(f, Tensor(rng.normal(size=size))) < 1e-6
+
+
+def test_ops_over_inputs_without_gradient_record_nothing():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    w = Tensor([[0.5, -1.0], [2.0, 1.0]])
+    outs = _every_op(x) + [linear(x, w, x[0]), softmax(x), layer_norm(x, x[0], x[1])]
+    for t in outs:
+        assert t._parents == () and t._backward is None and not t.requires_grad, t._op
+    # a parameter that needs no gradient gets none when another one does
+    v = Tensor([1.0, -1.0], requires_grad=True)
+    y = layer_norm(linear(v, w, x[0]), x[0], x[1])
+    assert y.requires_grad and _records(y)
+    y.sum().backward()
+    assert v.grad is not None and w.grad is None and x.grad is None
+
+
+def test_frozen_parameters_carry_no_gradient_after_a_train_step():
+    from refvos.data import SyntheticSpec, generate_clip
+    from refvos.losses import LossConfig
+    from refvos.model import Model, ModelConfig
+    from refvos.optim import AdamW
+    from refvos.tracking import train_step
+
+    model = Model(ModelConfig(patch_size=8, blocks=2, token_width=32, channels=32,
+                              adapter_width=4, hidden=32, text_width=32), seed=0)
+    clip, expr, gts = generate_clip(SyntheticSpec(height=32, width=32, frames=2, seed=4))
+    train_step([(clip.frames, expr, gts)], model,
+               AdamW(model.trainable_params(), dict.fromkeys(
+                   ("cmm", "hda", "decoder", "adapter", "itm"), 1e-3)), LossConfig())
+    frozen, trainable = model.partition()
+    assert frozen and trainable
+    for name in frozen:
+        p = model.params[name]
+        assert not p.requires_grad and p.grad is None, name
+    assert all(model.params[n].requires_grad for n in trainable)
+    assert any(model.params[n].grad is not None for n in trainable)
+
+
+def test_fused_layer_norm_raises_when_its_variance_overflows():
+    x = Tensor([[1e200, -1e200, 0.0]], requires_grad=True)
+    gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="mul"):
+            _layer_norm_composite(x, gamma, beta)
+        with pytest.raises(NonFiniteError, match="layer_norm"):
+            layer_norm(x, gamma, beta)

@@ -89,6 +89,12 @@ def test_parse_rejects_bad_lines():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ConfigurationError, match="train.lr_hda must be finite"):
             parse_config(f"train.lr_hda = {bad}\n")
+    for key, bad in (("train.weight_decay", "nan"), ("train.w_dice", "inf"),
+                     ("train.focal_gamma", "nan"), ("train.dice_smooth", "inf"),
+                     ("eval.tolerance_px", "nan")):
+        with pytest.raises(ConfigurationError, match=f"line 2: bad value for '{key}': "
+                                                     f"{key} must be finite, got {bad}"):
+            parse_config(f"train.seed = 1\n{key} = {bad}\n")
 
 
 @pytest.mark.parametrize("key", ["patch_size", "vocab_size"])
@@ -102,6 +108,7 @@ def test_train_zero_model_size_exits_4(tmp_path, capsys, key):
 @pytest.mark.parametrize("line, message", [
     ("model.blocks = two", "line 19: bad value for 'model.blocks'"),
     ("train.lr_cmm = nan", "train.lr_cmm must be finite"),
+    ("train.w_dice = inf", "line 19: bad value for 'train.w_dice': train.w_dice must be finite"),
 ])
 def test_train_bad_value_exits_4_before_step_1(tmp_path, capsys, line, message):
     cfg = write_toy_config(tmp_path, extra=line + "\n")
