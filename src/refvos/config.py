@@ -118,18 +118,6 @@ def parse_config(text):
     return cfg.validate()
 
 
-def serialize_config(cfg):
-    lines = []
-    for f in fields(cfg):
-        section = getattr(cfg, f.name)
-        for sf in fields(section):
-            value = getattr(section, sf.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name}.{sf.name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path):
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())

@@ -4,11 +4,9 @@ per-token mask kernels, and a mask-quality head."""
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .autodiff import (DimensionError, Tensor, concat, layer_norm, linear,
                        transposed_conv_upscale)
-from .encoder import _xavier, attention, sinusoidal_grid
+from .encoder import attention, sinusoidal_grid
 
 
 @dataclass
@@ -16,59 +14,6 @@ class DecoderOutput:
     masks: list          # 4 x (4*H0, 4*W0) logit maps: main + 3 scales
     iou_scores: Tensor   # (4,) in [0, 1]
     main_token_out: Tensor  # (C_v,)
-
-
-def _attn_params(p, par, rng, prefix, d):
-    for nm in ("wq", "wk", "wv", "wo"):
-        par(prefix + f"{nm}.weight", _xavier(rng, d, d))
-        par(prefix + f"{nm}.bias", np.zeros(d))
-
-
-def init_decoder_params(c_v, rng, dtype=np.float64):
-    p = {}
-
-    def par(name, arr):
-        p["decoder." + name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-
-    par("token.iou", rng.normal(0.0, 1.0, c_v))
-    par("token.main", rng.normal(0.0, 1.0, c_v))
-    for i in range(3):
-        par(f"token.scale{i}", rng.normal(0.0, 1.0, c_v))
-    for layer in range(2):
-        pre = f"layer{layer}."
-        _attn_params(p, par, rng, pre + "self.", c_v)
-        par(pre + "ln_self.gamma", np.ones(c_v))
-        par(pre + "ln_self.beta", np.zeros(c_v))
-        _attn_params(p, par, rng, pre + "t2i.", c_v)
-        par(pre + "ln_t2i.gamma", np.ones(c_v))
-        par(pre + "ln_t2i.beta", np.zeros(c_v))
-        _attn_params(p, par, rng, pre + "i2t.", c_v)
-        par(pre + "ln_i2t.gamma", np.ones(c_v))
-        par(pre + "ln_i2t.beta", np.zeros(c_v))
-    _attn_params(p, par, rng, "final_attn.", c_v)
-    par("final_ln.gamma", np.ones(c_v))
-    par("final_ln.beta", np.zeros(c_v))
-
-    c_half, c_up = c_v // 2, c_v // 4
-    par("up1.weight", _xavier(rng, c_v, c_half, shape=(c_v, c_half, 2, 2)) )
-    par("up1.bias", np.zeros(c_half))
-    par("up2.weight", _xavier(rng, c_half, c_up, shape=(c_half, c_up, 2, 2)))
-    par("up2.bias", np.zeros(c_up))
-    for i in range(4):
-        pre = f"hyper{i}."
-        par(pre + "fc1.weight", _xavier(rng, c_v, c_v))
-        par(pre + "fc1.bias", np.zeros(c_v))
-        par(pre + "fc2.weight", _xavier(rng, c_v, c_v))
-        par(pre + "fc2.bias", np.zeros(c_v))
-        par(pre + "fc3.weight", _xavier(rng, c_v, c_up))
-        par(pre + "fc3.bias", np.zeros(c_up))
-    par("iou_head.fc1.weight", _xavier(rng, c_v, c_v))
-    par("iou_head.fc1.bias", np.zeros(c_v))
-    # zero weights + pessimistic bias: quality scores start low and only the
-    # supervised one moves, so selection never prefers an untrained mask
-    par("iou_head.fc2.weight", np.zeros((c_v, 4)))
-    par("iou_head.fc2.bias", np.full(4, -2.0))
-    return p
 
 
 def decode(visual, sparse, dense, track, params, include_sentence_token=True):

@@ -41,8 +41,9 @@ class VisualEncoderConfig:
 
     @property
     def adapter_blocks(self):
-        # latter half of the blocks carries adapters
-        return tuple(range(self.block_count // 2, self.block_count))
+        # latter half of the blocks carries adapters; a range, so a membership
+        # test allocates nothing however large a garbled block count is
+        return range(self.block_count // 2, self.block_count)
 
 
 @dataclass
@@ -74,50 +75,6 @@ class ReferringExpression:
 class TextEmbeddings:
     words: Tensor      # (L, C_e)
     sentence: Tensor   # (C_e,)
-
-
-def _xavier(rng, fan_in, fan_out, shape=None, dtype=np.float64):
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, (fan_in, fan_out) if shape is None else shape).astype(dtype)
-
-
-def init_visual_params(cfg, rng, dtype=np.float64, with_adapters=True):
-    """Flat parameter dict for the visual encoder, keys prefixed 'encoder.'."""
-    d, cv, r = cfg.token_width, cfg.out_channels, cfg.adapter_width
-    p = {}
-
-    def par(name, arr):
-        p[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-
-    pdim = 3 * cfg.patch_size ** 2
-    par("encoder.patch.weight", _xavier(rng, pdim, d))
-    par("encoder.patch.bias", np.zeros(d))
-    for i in range(cfg.block_count):
-        pre = f"encoder.block{i}."
-        par(pre + "ln1.gamma", np.ones(d))
-        par(pre + "ln1.beta", np.zeros(d))
-        for nm in ("wq", "wk", "wv", "wo"):
-            par(pre + f"attn.{nm}.weight", _xavier(rng, d, d))
-            par(pre + f"attn.{nm}.bias", np.zeros(d))
-        par(pre + "ln2.gamma", np.ones(d))
-        par(pre + "ln2.beta", np.zeros(d))
-        hid = d * cfg.mlp_ratio
-        par(pre + "mlp.fc1.weight", _xavier(rng, d, hid))
-        par(pre + "mlp.fc1.bias", np.zeros(hid))
-        par(pre + "mlp.fc2.weight", _xavier(rng, hid, d))
-        par(pre + "mlp.fc2.bias", np.zeros(d))
-        if with_adapters and i in cfg.adapter_blocks:
-            for a in ("adapter1", "adapter2"):
-                par(pre + f"{a}.down.weight", _xavier(rng, d, r))
-                par(pre + f"{a}.down.bias", np.zeros(r))
-                # zero-init up projection: adapters start as the identity
-                par(pre + f"{a}.up.weight", np.zeros((r, d)))
-                par(pre + f"{a}.up.bias", np.zeros(d))
-    par("encoder.neck.proj.weight", _xavier(rng, d, cv))
-    par("encoder.neck.proj.bias", np.zeros(cv))
-    par("encoder.neck.ln.gamma", np.ones(cv))
-    par("encoder.neck.ln.beta", np.zeros(cv))
-    return p
 
 
 @functools.lru_cache(maxsize=32)
@@ -209,14 +166,6 @@ def _bucket(token, vocab_size):
     return int.from_bytes(digest, "little") % vocab_size
 
 
-def init_text_params(width, vocab_size, seed, dtype=np.float64):
-    """The frozen word table, one row per hash bucket; every token hashes
-    into a bucket, so no token is out of vocabulary."""
-    rng = np.random.default_rng(seed)
-    table = rng.normal(0.0, 1.0, (vocab_size, width)) / np.sqrt(width)
-    return {"text.table": Tensor(table.astype(dtype))}
-
-
 def pool_sentence(words):
     """Mean over the word axis."""
     if words.shape[0] < 1:
@@ -231,22 +180,3 @@ def encode_text(expr, table):
     words = Tensor(rows.astype(np.float64))
     return TextEmbeddings(words=words, sentence=pool_sentence(words))
 
-
-# ---- freezing -------------------------------------------------------------
-
-TRAINABLE_PREFIXES = ("cmm.", "hda.", "decoder.", "itm.")
-
-
-def freeze_partition(params):
-    """Split parameter names into (frozen, trainable) sets."""
-    frozen, trainable = set(), set()
-    for name in params:
-        if name.startswith("encoder."):
-            (trainable if ".adapter" in name else frozen).add(name)
-        elif name.startswith("text."):
-            frozen.add(name)
-        elif name.startswith(TRAINABLE_PREFIXES):
-            trainable.add(name)
-        else:
-            raise ConfigurationError(f"parameter {name!r} has no module tag")
-    return frozen, trainable

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DimensionError, Tensor, concat, conv1x1, linear, softmax
-from .encoder import _xavier
 
 
 @dataclass
@@ -30,23 +29,6 @@ class DenseEmbeddings:
         return DenseEmbeddings(map=self.map[t])
 
 
-def init_cross_modal_params(embed_width, hidden, out_width, rng, dtype=np.float64):
-    return {
-        "cmm.fc1.weight": Tensor(_xavier(rng, embed_width, hidden, dtype=dtype), requires_grad=True),
-        "cmm.fc1.bias": Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True),
-        "cmm.fc2.weight": Tensor(_xavier(rng, hidden, out_width, dtype=dtype), requires_grad=True),
-        "cmm.fc2.bias": Tensor(np.zeros(out_width, dtype=dtype), requires_grad=True),
-    }
-
-
-def init_linear_project_params(embed_width, out_width, rng, dtype=np.float64):
-    """Fallback projection used when the cross-modal MLP is toggled off."""
-    return {
-        "cmm.proj.weight": Tensor(_xavier(rng, embed_width, out_width, dtype=dtype), requires_grad=True),
-        "cmm.proj.bias": Tensor(np.zeros(out_width, dtype=dtype), requires_grad=True),
-    }
-
-
 def cross_modal_project(text, params):
     """Map word and sentence embeddings into the decoder's prompt space."""
     if "cmm.proj.weight" in params:
@@ -58,25 +40,6 @@ def cross_modal_project(text, params):
             linear(x, params["cmm.fc1.weight"], params["cmm.fc1.bias"]).relu(),
             params["cmm.fc2.weight"], params["cmm.fc2.bias"])
     return SparseEmbeddings(words=proj(text.words), sentence=proj(text.sentence))
-
-
-def init_dense_attention_params(c_v, rng, dtype=np.float64, prefix="hda.da0."):
-    return {
-        prefix + "conv.weight": Tensor(_xavier(rng, 2 * c_v, c_v, dtype=dtype), requires_grad=True),
-        prefix + "conv.bias": Tensor(np.zeros(c_v, dtype=dtype), requires_grad=True),
-    }
-
-
-def init_hda_params(c_v, c_mid, rng, dtype=np.float64):
-    """Four dense-attention branches (final map + 3 mid maps) with per-branch
-    reduce convolutions for the mid maps; no weight sharing."""
-    p = {}
-    for i in range(4):
-        p.update(init_dense_attention_params(c_v, rng, dtype=dtype, prefix=f"hda.da{i}."))
-    for i in range(1, 4):
-        p[f"hda.reduce{i}.weight"] = Tensor(_xavier(rng, c_mid, c_v, dtype=dtype), requires_grad=True)
-        p[f"hda.reduce{i}.bias"] = Tensor(np.zeros(c_v, dtype=dtype), requires_grad=True)
-    return p
 
 
 def dense_attention(feat, sparse, params, prefix="hda.da0."):

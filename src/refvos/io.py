@@ -1,5 +1,6 @@
 """Binary file formats: PGM/PPM images and model checkpoints."""
 
+import math
 import os
 import struct
 
@@ -127,14 +128,16 @@ def load_checkpoint(path):
             pos += 1
             shape = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
             pos += 4 * rank
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos)
+            count = math.prod(shape)   # exact: an int64 product of the extents can wrap
+            if 4 * count > len(raw) - pos:
+                raise ValueError(f"truncated: {name!r} needs {4 * count} bytes, "
+                                 f"{len(raw) - pos} remain")
+            # reshape fails on more axes than numpy supports
+            arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).reshape(shape)
             pos += 4 * count
         except (struct.error, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint record at byte {pos}: {exc}") from exc
-        if arr.size != count:
-            raise CheckpointError(f"truncated checkpoint at byte {pos}")
         if name in arrays:
             raise CheckpointError(f"repeated checkpoint record {name!r} ending at byte {pos}")
-        arrays[name] = arr.reshape(shape).astype(np.float32)
+        arrays[name] = arr.astype(np.float32)
     return arrays

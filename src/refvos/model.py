@@ -1,24 +1,28 @@
-"""Full model assembly: configuration, parameter initialization, the
-per-frame forward path shared by inference and training, and checkpoints
-that record their configuration."""
+"""Full model assembly: configuration, the parameter schema, the per-frame
+forward path shared by inference and training, and checkpoints that record
+their configuration."""
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decoder import decode, init_decoder_params
+from .autodiff import NonFiniteError, Tensor
+from .decoder import decode
 from .encoder import (ConfigurationError, VisualEncoderConfig, encode_frame,
-                      encode_text, freeze_partition, init_text_params,
-                      init_visual_params)
+                      encode_text)
 from .fusion import (cross_modal_project, dense_attention,
-                     hierarchical_dense_attention, init_cross_modal_params,
-                     init_hda_params, init_linear_project_params)
+                     hierarchical_dense_attention)
 from .io import CheckpointError
-from .tracking import init_itm_params
+from .optim import module_of
 
-# sub-seed offsets derived from the top-level seed
-SEED_ENCODER, SEED_TEXT, SEED_FUSION, SEED_DECODER, SEED_ITM, SEED_DATA, SEED_SAMPLER = (
-    1, 2, 3, 4, 5, 1000, 2000)
+# RNG stream of a parameter, by the first part of its name: an offset from the
+# model seed. cmm and hda share one stream.
+PARAM_STREAMS = {"encoder": 1, "text": 2, "cmm": 3, "hda": 3, "decoder": 4, "itm": 5}
+# seed offsets of the synthetic data and of the training frame sampler
+SEED_DATA, SEED_SAMPLER = 1000, 2000
+# groups (optim.module_of) that stay frozen: the ViT backbone and the word table
+FROZEN_GROUPS = ("encoder", "text")
 
 # checkpoint record name prefix of the ModelConfig fields
 CONFIG_PREFIX = "config."
@@ -51,37 +55,152 @@ class ModelConfig:
             raise ConfigurationError("model.hda requires model.da")
         if self.channels % 4 or self.token_width % 4:
             raise ConfigurationError("channel widths must be divisible by 4")
+        self.visual_config()   # and the encoder's own checks
+
+    def visual_config(self):
+        return VisualEncoderConfig(
+            patch_size=self.patch_size, block_count=self.blocks,
+            token_width=self.token_width, out_channels=self.channels,
+            adapter_width=self.adapter_width, mlp_ratio=self.mlp_ratio)
+
+
+# ---- parameter schema -------------------------------------------------------
+
+# One parameter: its name, shape, init rule (see _draw) and RNG stream.
+ParamSpec = namedtuple("ParamSpec", "name shape init stream")
+
+
+def _linear(name, n_in, n_out, *kernel, weight="xavier"):
+    yield name + ".weight", (n_in, n_out, *kernel), weight
+    yield name + ".bias", (n_out,), 0.0
+
+
+def _norm(name, width):
+    yield name + ".gamma", (width,), 1.0
+    yield name + ".beta", (width,), 0.0
+
+
+def _attention(prefix, width):
+    for nm in ("wq", "wk", "wv", "wo"):
+        yield from _linear(prefix + nm, width, width)
+
+
+def _entries(cfg, vcfg):
+    d, cv, hid = cfg.token_width, cfg.channels, cfg.token_width * cfg.mlp_ratio
+    yield from _linear("encoder.patch", 3 * cfg.patch_size ** 2, d)
+    for i in range(cfg.blocks):
+        pre = f"encoder.block{i}."
+        yield from _norm(pre + "ln1", d)
+        yield from _attention(pre + "attn.", d)
+        yield from _norm(pre + "ln2", d)
+        yield from _linear(pre + "mlp.fc1", d, hid)
+        yield from _linear(pre + "mlp.fc2", hid, d)
+        if cfg.adapter and i in vcfg.adapter_blocks:
+            for a in ("adapter1", "adapter2"):
+                yield from _linear(pre + a + ".down", d, cfg.adapter_width)
+                # zero-init up projection: adapters start as the identity
+                yield from _linear(pre + a + ".up", cfg.adapter_width, d, weight=0.0)
+    yield from _linear("encoder.neck.proj", d, cv)
+    yield from _norm("encoder.neck.ln", cv)
+
+    # the frozen word table, one row per hash bucket
+    yield "text.table", (cfg.vocab_size, cfg.text_width), "table"
+
+    if cfg.cross_modal_mlp:
+        yield from _linear("cmm.fc1", cfg.text_width, cfg.hidden)
+        yield from _linear("cmm.fc2", cfg.hidden, cv)
+    else:   # a single projection in place of the cross-modal MLP
+        yield from _linear("cmm.proj", cfg.text_width, cv)
+    if cfg.da:
+        # four dense-attention branches (final map + 3 mid maps), with a
+        # reduce convolution for each mid map; no weight sharing
+        for i in range(4):
+            yield from _linear(f"hda.da{i}.conv", 2 * cv, cv)
+        for i in range(1, 4):
+            yield from _linear(f"hda.reduce{i}", vcfg.mid_channels, cv)
+
+    for token in ("iou", "main", "scale0", "scale1", "scale2"):
+        yield f"decoder.token.{token}", (cv,), "normal"
+    for layer in range(2):
+        for part in ("self", "t2i", "i2t"):
+            yield from _attention(f"decoder.layer{layer}.{part}.", cv)
+            yield from _norm(f"decoder.layer{layer}.ln_{part}", cv)
+    yield from _attention("decoder.final_attn.", cv)
+    yield from _norm("decoder.final_ln", cv)
+    yield from _linear("decoder.up1", cv, cv // 2, 2, 2)      # 2x2 transposed convolutions
+    yield from _linear("decoder.up2", cv // 2, cv // 4, 2, 2)
+    for i in range(4):
+        yield from _linear(f"decoder.hyper{i}.fc1", cv, cv)
+        yield from _linear(f"decoder.hyper{i}.fc2", cv, cv)
+        yield from _linear(f"decoder.hyper{i}.fc3", cv, cv // 4)
+    yield from _linear("decoder.iou_head.fc1", cv, cv)
+    # zero weights + pessimistic bias: quality scores start low and only the
+    # supervised one moves, so selection never prefers an untrained mask
+    yield "decoder.iou_head.fc2.weight", (cv, 4), 0.0
+    yield "decoder.iou_head.fc2.bias", (4,), -2.0
+
+    if cfg.itm:
+        yield from _linear("itm.fc1", cv, cv)
+        # zero-init second FFN: the residual branch starts at zero
+        yield from _linear("itm.fc2", cv, cv, weight=0.0)
+        yield from _norm("itm.ln", cv)
+
+
+def param_schema(cfg, vcfg):
+    """Every parameter of the model `cfg` describes, in draw order. A
+    generator, so a caller checking records against it stops at the first
+    mismatch, however large the widths of a garbled config."""
+    for name, shape, init in _entries(cfg, vcfg):
+        yield ParamSpec(name, shape, init, PARAM_STREAMS[name.split(".", 1)[0]])
+
+
+def _draw(spec, rng):
+    """The float64 initial value of a parameter. "xavier" draws
+    N(0, 2 / (fan_in + fan_out)) with the first two extents as the fans,
+    "normal" draws N(0, 1), "table" draws N(0, 1) / sqrt(width), and a number
+    fills the array with that value and draws nothing."""
+    if spec.init == "xavier":
+        return rng.normal(0.0, np.sqrt(2.0 / (spec.shape[0] + spec.shape[1])), spec.shape)
+    if spec.init == "normal":
+        return rng.normal(0.0, 1.0, spec.shape)
+    if spec.init == "table":
+        return rng.normal(0.0, 1.0, spec.shape) / np.sqrt(spec.shape[1])
+    return np.full(spec.shape, float(spec.init))
+
+
+def _check_records(schema, arrays):
+    """Raise CheckpointError unless the records of `arrays` other than
+    `config.*` are exactly the parameters of `schema`, each with its shape."""
+    names = set()
+    for spec in schema:
+        if spec.name not in arrays:
+            raise CheckpointError(f"checkpoint missing parameter {spec.name!r}")
+        shape = np.shape(arrays[spec.name])
+        if shape != spec.shape:
+            raise CheckpointError(f"checkpoint shape mismatch for {spec.name!r}: "
+                                  f"{shape} vs {spec.shape}")
+        names.add(spec.name)
+    unknown = sorted(n for n in arrays if n not in names and not n.startswith(CONFIG_PREFIX))
+    if unknown:
+        raise CheckpointError(f"checkpoint has unknown records {unknown}")
 
 
 class Model:
     def __init__(self, cfg, seed=0, dtype=np.float64):
-        self.cfg = cfg
-        self.dtype = dtype
-        self.vcfg = VisualEncoderConfig(
-            patch_size=cfg.patch_size, block_count=cfg.blocks,
-            token_width=cfg.token_width, out_channels=cfg.channels,
-            adapter_width=cfg.adapter_width, mlp_ratio=cfg.mlp_ratio)
-        self.params = init_visual_params(self.vcfg, np.random.default_rng(seed + SEED_ENCODER),
-                                         dtype, with_adapters=cfg.adapter)
-        self.params.update(init_text_params(cfg.text_width, cfg.vocab_size,
-                                            seed + SEED_TEXT, dtype))
-        rng_f = np.random.default_rng(seed + SEED_FUSION)
-        if cfg.cross_modal_mlp:
-            self.params.update(init_cross_modal_params(
-                cfg.text_width, cfg.hidden, cfg.channels, rng_f, dtype))
-        else:
-            self.params.update(init_linear_project_params(
-                cfg.text_width, cfg.channels, rng_f, dtype))
-        if cfg.da:
-            self.params.update(init_hda_params(
-                cfg.channels, self.vcfg.mid_channels, rng_f, dtype))
-        self.params.update(init_decoder_params(
-            cfg.channels, np.random.default_rng(seed + SEED_DECODER), dtype))
-        if cfg.itm:
-            self.params.update(init_itm_params(
-                cfg.channels, np.random.default_rng(seed + SEED_ITM), dtype))
-        for name in self.partition()[0]:   # frozen: no gradient is recorded for them
-            self.params[name].requires_grad = False
+        """Draw every parameter of the schema from its stream, seeded with
+        seed + stream: the same seed gives the same parameter bytes."""
+        vcfg = cfg.visual_config()
+        rngs = {s: np.random.default_rng(seed + s) for s in set(PARAM_STREAMS.values())}
+        self._adopt(cfg, vcfg, dtype, ((p.name, _draw(p, rngs[p.stream]))
+                                       for p in param_schema(cfg, vcfg)))
+
+    def _adopt(self, cfg, vcfg, dtype, arrays):
+        """Take (name, array) pairs as the parameters; frozen ones record no
+        gradient."""
+        self.cfg, self.vcfg, self.dtype = cfg, vcfg, dtype
+        self.params = {n: Tensor(np.asarray(a, dtype=dtype),
+                                 requires_grad=module_of(n) not in FROZEN_GROUPS)
+                       for n, a in arrays}
 
     # ---- forward pieces --------------------------------------------------
 
@@ -109,7 +228,9 @@ class Model:
     # ---- state -----------------------------------------------------------
 
     def partition(self):
-        return freeze_partition(self.params)
+        """(frozen, trainable) parameter names."""
+        frozen = {n for n in self.params if module_of(n) in FROZEN_GROUPS}
+        return frozen, set(self.params) - frozen
 
     def trainable_params(self):
         _, names = self.partition()
@@ -128,25 +249,16 @@ class Model:
 
     def load_state(self, arrays):
         """Load parameters from checkpoint arrays. `config.*` records, if
-        present, must describe this model; any other name must be one of
-        its parameters."""
-        records = [n for n in arrays if n.startswith(CONFIG_PREFIX)]
-        if records and _config_from_arrays(arrays) != self.cfg:
+        present, must describe this model; every other record must be one of
+        its parameters, with its shape. All records are checked before any is
+        loaded; then each parameter is replaced in turn, so only one
+        parameter's old and new values are held at once."""
+        if any(n.startswith(CONFIG_PREFIX) for n in arrays) and \
+                _config_from_arrays(arrays) != self.cfg:
             raise CheckpointError("checkpoint config records differ from the model's config")
-        unknown = sorted(set(arrays) - set(self.params) - set(records))
-        if unknown:
-            raise CheckpointError(f"checkpoint has unknown records {unknown}")
-        loaded = {}
+        _check_records(param_schema(self.cfg, self.vcfg), arrays)
         for name, p in self.params.items():
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint missing parameter {name!r}")
-            loaded[name] = np.asarray(arrays[name], dtype=self.dtype)
-            if loaded[name].shape != p.data.shape:
-                raise CheckpointError(f"checkpoint shape mismatch for {name!r}: "
-                                      f"{loaded[name].shape} vs {p.data.shape}")
-        for name, p in self.params.items():   # all or nothing
-            p.data = loaded[name]
-            p.grad = None
+            p.data, p.grad = np.asarray(arrays[name], dtype=self.dtype), None
 
 
 def _config_from_arrays(arrays):
@@ -174,11 +286,16 @@ def _config_from_arrays(arrays):
 
 
 def model_from_checkpoint(arrays, dtype=np.float64):
-    """The model a checkpoint describes, with its parameters loaded."""
+    """The model a checkpoint describes, built from its records alone: it
+    draws nothing, and allocates nothing before every record's name and
+    shape match the schema of the recorded config."""
     cfg = _config_from_arrays(arrays)
+    vcfg = cfg.visual_config()
+    _check_records(param_schema(cfg, vcfg), arrays)
+    model = Model.__new__(Model)
     try:
-        model = Model(cfg, seed=0, dtype=dtype)
-    except ConfigurationError as exc:
-        raise CheckpointError(f"checkpoint config is invalid: {exc}") from exc
-    model.load_state(arrays)
+        model._adopt(cfg, vcfg, dtype, ((p.name, arrays[p.name])
+                                        for p in param_schema(cfg, vcfg)))
+    except NonFiniteError as exc:
+        raise CheckpointError(f"checkpoint parameters are not finite: {exc}") from exc
     return model

@@ -3,7 +3,6 @@
 import numpy as np
 
 from .autodiff import Tensor, bilinear_resize, layer_norm, linear, no_grad
-from .encoder import _xavier
 from .losses import dice_loss, focal_loss
 from .metrics import region_similarity_J
 
@@ -13,19 +12,6 @@ from .metrics import region_similarity_J
 # 24-frame toy clip in one pass raised peak RSS by 4-6%; passes of 8 frames
 # kept it at the frame-by-frame level.
 FRAMES_PER_PASS = 8
-
-
-def init_itm_params(c_v, rng, dtype=np.float64, hidden=None):
-    hidden = hidden or c_v
-    return {
-        "itm.fc1.weight": Tensor(_xavier(rng, c_v, hidden, dtype=dtype), requires_grad=True),
-        "itm.fc1.bias": Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True),
-        # zero-init second FFN: the residual branch starts at zero
-        "itm.fc2.weight": Tensor(np.zeros((hidden, c_v), dtype=dtype), requires_grad=True),
-        "itm.fc2.bias": Tensor(np.zeros(c_v, dtype=dtype), requires_grad=True),
-        "itm.ln.gamma": Tensor(np.ones(c_v, dtype=dtype), requires_grad=True),
-        "itm.ln.beta": Tensor(np.zeros(c_v, dtype=dtype), requires_grad=True),
-    }
 
 
 def track_update(main_token_out, params):

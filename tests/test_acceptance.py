@@ -14,10 +14,10 @@ import numpy as np
 
 from refvos.autodiff import Tensor, conv1x1
 from refvos.data import SyntheticSpec, generate_clip, VideoClip
-from refvos.decoder import decode, init_decoder_params
+from refvos.decoder import decode
 from refvos.encoder import encode_frame
 from refvos.fusion import (SparseEmbeddings, dense_attention,
-                           hierarchical_dense_attention, init_hda_params)
+                           hierarchical_dense_attention)
 from refvos.losses import LossConfig
 from refvos.metrics import (aggregate, boundary_pixels, contour_accuracy_F,
                             evaluate_sequence, region_similarity_J)
@@ -39,6 +39,17 @@ def _toy_model(seed=0, **kw):
     cfg = dict(TOY)
     cfg.update(kw)
     return Model(ModelConfig(**cfg), seed=seed)
+
+
+def _hda_params(rng, c_v, c_mid):
+    """Random weights and biases of the four dense-attention branches and the
+    three mid-map reductions."""
+    params = {}
+    for name, n_in in [(f"hda.da{i}.conv", 2 * c_v) for i in range(4)] + \
+            [(f"hda.reduce{i}", c_mid) for i in (1, 2, 3)]:
+        params[name + ".weight"] = Tensor(rng.normal(size=(n_in, c_v)) / np.sqrt(n_in))
+        params[name + ".bias"] = Tensor(rng.normal(0.0, 0.1, c_v))
+    return params
 
 
 def _make_sparse(rng, length, c_v):
@@ -126,7 +137,7 @@ def test_acceptance_2_dense_attention_oracle():
         length = int(rng.integers(1, 4))
         feat = rng.normal(size=(c_v, h0, w0))
         sparse = _make_sparse(rng, length, c_v)
-        params = init_hda_params(c_v, c_v, rng)
+        params = _hda_params(rng, c_v, c_v)
         out, trace = dense_attention(Tensor(feat), sparse, params)
         expect, attn = _brute_force_dense(feat, sparse.sentence.data,
                                           sparse.words.data,
@@ -144,7 +155,7 @@ def test_acceptance_3_attention_rows_normalized():
     worst = 0.0
     for _ in range(100):
         c_v, c_mid = 8, 4
-        params = init_hda_params(c_v, c_mid, rng)
+        params = _hda_params(rng, c_v, c_mid)
         sparse = _make_sparse(rng, int(rng.integers(1, 4)), c_v)
         feats = [Tensor(rng.normal(size=(c_v, 3, 3)))] + \
                 [conv1x1(Tensor(rng.normal(size=(c_mid, 3, 3))),
@@ -165,7 +176,7 @@ def test_acceptance_4_hda_decomposition():
     ok = True
     for _ in range(20):
         c_v, c_mid = 8, 4
-        params = init_hda_params(c_v, c_mid, rng)
+        params = _hda_params(rng, c_v, c_mid)
         sparse = _make_sparse(rng, 2, c_v)
         ff = FrameFeatures(final=Tensor(rng.normal(size=(c_v, 3, 3))),
                            mids=[Tensor(rng.normal(size=(c_mid, 3, 3)))
@@ -223,7 +234,7 @@ def test_acceptance_6_zero_init_transparency():
         all(np.array_equal(a.data, b.data) for a, b in zip(with_ad.mids, without.mids))
 
     rng = np.random.default_rng(7)
-    params = init_decoder_params(32, rng)
+    params = model.params
     visual = Tensor(rng.normal(size=(32, 4, 4)))
     sparse = _make_sparse(rng, 2, 32)
     from refvos.fusion import DenseEmbeddings

@@ -1,10 +1,13 @@
 """Checkpoint files: atomic writes, strict loading, and the model
 configuration they record."""
 
+import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refvos.cli import EXIT_BAD_CHECKPOINT, EXIT_OK, main
 from refvos.io import CHECKPOINT_MAGIC, CheckpointError, load_checkpoint, save_checkpoint
@@ -20,6 +23,21 @@ TOY_RUN = "".join(f"model.{k} = {v}\n" for k, v in TOY.items()) + (
 
 def toy_model(seed=0, **kw):
     return Model(ModelConfig(**dict(TOY, **kw)), seed=seed)
+
+
+@pytest.mark.parametrize("options, digest", [
+    ({}, "b591cf4ac3e6cb81d444051d77db24055ed1f9c65b667dab7c88e09ef5fce46b"),
+    (dict(cross_modal_mlp=False, adapter=False, itm=False, da=False, hda=False),
+     "4c3d6361659e94b77d51e2744200b926be8329a1bc55a9686c3f9721440ec333"),
+], ids=["toy", "toy-all-off"])
+def test_same_seed_parameter_bytes_are_pinned(options, digest):
+    """Names, shapes and bytes of a fresh seed-0 model: pins the draw order
+    of every parameter."""
+    h = hashlib.sha256()
+    for name, arr in toy_model(**options).state_arrays().items():
+        h.update(f"{name} {arr.shape} {arr.dtype}\n".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_save_checkpoint_is_atomic(tmp_path):
@@ -39,6 +57,15 @@ def test_load_checkpoint_rejects_repeated_record(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw + raw[len(CHECKPOINT_MAGIC):])
     with pytest.raises(CheckpointError, match="repeated checkpoint record 'a'"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_extents_whose_product_overflows(tmp_path):
+    # 65536**4 wraps to 0 in int64
+    path = tmp_path / "m.ckpt"
+    header = struct.pack("<H", 1) + b"a" + struct.pack("<B4I", 4, *[65536] * 4)
+    path.write_bytes(CHECKPOINT_MAGIC + header)
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
 
@@ -92,6 +119,17 @@ def test_model_from_checkpoint_rejects_bad_config_records(edit, message):
         model_from_checkpoint(arrays)
 
 
+def test_model_from_checkpoint_draws_nothing(monkeypatch):
+    model = toy_model(seed=3)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    rebuilt = model_from_checkpoint(model.checkpoint_arrays())
+    assert rebuilt.cfg == model.cfg
+    assert list(rebuilt.params) == list(model.params)
+    for name, p in model.params.items():
+        assert np.array_equal(rebuilt.params[name].data, p.data), name
+        assert rebuilt.params[name].requires_grad == p.requires_grad, name
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A toy run: its config, generated data and train-written checkpoint."""
@@ -138,3 +176,73 @@ def test_truncated_checkpoints_exit_3(trained, tmp_path, capsys):
         assert main(["infer", "--checkpoint", str(cut), "--clip", str(data / "clip0000"),
                      "--out", str(tmp_path / "p")]) == EXIT_BAD_CHECKPOINT, offset
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("record, message", [
+    ("channels", "shape mismatch for 'encoder.neck.proj.weight'"),
+    ("blocks", "missing parameter 'encoder.block2.ln1.gamma'"),
+], ids=["channels", "blocks"])
+def test_garbled_size_record_exits_3_before_allocating(trained, tmp_path, capsys,
+                                                       record, message):
+    _, data, ckpt = trained
+    arrays = load_checkpoint(ckpt)
+    arrays["config." + record] = np.array([2.0 ** 40], np.float32)
+    garbled = tmp_path / "garbled.ckpt"
+    save_checkpoint(garbled, arrays)
+    capsys.readouterr()
+    assert main(["infer", "--checkpoint", str(garbled), "--clip", str(data / "clip0000"),
+                 "--out", str(tmp_path / "p")]) == EXIT_BAD_CHECKPOINT
+    assert message in capsys.readouterr().err
+
+
+FUZZ_TOY = dict(TOY, text_width=8, vocab_size=8, hidden=8)
+
+
+def _record_heads(raw):
+    """Byte offsets of every record's name, rank and extents, and of the
+    values of the config records: where a flipped byte changes structure."""
+    pos, heads = len(CHECKPOINT_MAGIC), []
+    while pos < len(raw):
+        (nlen,) = struct.unpack_from("<H", raw, pos)
+        rank = raw[pos + 2 + nlen]
+        end = pos + 3 + nlen + 4 * rank
+        size = 4 * int(np.prod(struct.unpack_from(f"<{rank}I", raw, end - 4 * rank)))
+        config = raw[pos + 2:pos + 2 + nlen].startswith(b"config.")
+        heads += range(pos, end + size if config else end)
+        pos = end + size
+    return heads
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_checkpoint(path, Model(ModelConfig(**FUZZ_TOY), seed=0).checkpoint_arrays())
+    raw = path.read_bytes()
+    return path, raw, _record_heads(raw)
+
+
+def _edited(raw, edits):
+    out = bytearray(raw)
+    for offset, value in edits:
+        out[offset] = value
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_checkpoint_bytes_build_a_model_or_raise_checkpoint_error(
+        fuzz_checkpoint, data):
+    path, raw, heads = fuzz_checkpoint
+    offset = st.one_of(st.sampled_from(heads), st.integers(0, len(raw) - 1))
+    blob = data.draw(st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.lists(st.tuples(offset, st.integers(0, 255)), min_size=1, max_size=4).map(
+            lambda edits: _edited(raw, edits)),
+        st.binary(min_size=1, max_size=64).map(lambda tail: raw + tail)))
+    path.write_bytes(blob)
+    try:
+        model = model_from_checkpoint(load_checkpoint(path))
+    except CheckpointError:
+        return
+    assert isinstance(model, Model)
+

@@ -6,8 +6,7 @@ import pytest
 
 from refvos.cli import (EXIT_BAD_CHECKPOINT, EXIT_FAILURE, EXIT_OK,
                         EXIT_SHAPE_MISMATCH, main)
-from refvos.config import (RunConfig, load_config, parse_config,
-                           serialize_config)
+from refvos.config import load_config, parse_config
 from refvos.encoder import ConfigurationError
 from refvos.io import save_checkpoint, write_pgm, write_ppm
 from refvos.model import Model, ModelConfig
@@ -45,16 +44,6 @@ def write_toy_config(tmp_path, steps=4, extra=""):
 
 
 # ---- config parsing ---------------------------------------------------------
-
-def test_config_round_trip_identity():
-    cfg = RunConfig()
-    cfg.model.blocks = 2
-    cfg.train.lr_decoder = 3e-5
-    cfg.model.itm = False
-    cfg.data.root = "/some/where"
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-
 
 def test_parse_defaults_and_overrides():
     cfg = parse_config("train.steps = 7\nmodel.hda = false\nmodel.da = false\n")

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from refvos.autodiff import DimensionError, Tensor, bilinear_resize, grad_check
-from refvos.decoder import DecoderOutput, decode, init_decoder_params
+from refvos.decoder import DecoderOutput, decode
 from refvos.fusion import DenseEmbeddings, SparseEmbeddings
 from refvos.losses import LossConfig, dice_loss
+from refvos.model import Model, ModelConfig
 from refvos.tracking import select_mask
 
 
 C_V = 32
+
+
+def decoder_params(seed, c_v=C_V):
+    """The parameters of a fresh model of width c_v; its decoder draws from
+    the stream seeded with seed + 4."""
+    return Model(ModelConfig(channels=c_v, blocks=2, token_width=8, adapter_width=4,
+                             text_width=8, vocab_size=8, hidden=8), seed=seed).params
 
 
 def make_inputs(rng, c_v=C_V, h0=4, w0=4, length=2):
@@ -21,7 +29,7 @@ def make_inputs(rng, c_v=C_V, h0=4, w0=4, length=2):
 
 def test_decode_shapes():
     rng = np.random.default_rng(0)
-    params = init_decoder_params(C_V, rng)
+    params = decoder_params(seed=0)
     visual, sparse, dense = make_inputs(rng, h0=8, w0=8)
     out = decode(visual, sparse, dense, None, params)
     assert len(out.masks) == 4
@@ -32,8 +40,7 @@ def test_decode_shapes():
 
 
 def test_decode_deterministic():
-    rng = np.random.default_rng(1)
-    params = init_decoder_params(C_V, rng)
+    params = decoder_params(seed=1)
     visual, sparse, dense = make_inputs(np.random.default_rng(2))
     a = decode(visual, sparse, dense, None, params)
     b = decode(visual, sparse, dense, None, params)
@@ -44,7 +51,7 @@ def test_decode_deterministic():
 
 def test_decode_track_width_checked():
     rng = np.random.default_rng(3)
-    params = init_decoder_params(C_V, rng)
+    params = decoder_params(seed=3)
     visual, sparse, dense = make_inputs(rng)
     with pytest.raises(DimensionError):
         decode(visual, sparse, dense, Tensor(np.zeros(C_V + 1)), params)
@@ -52,7 +59,7 @@ def test_decode_track_width_checked():
 
 def test_zero_dense_equals_no_dense():
     rng = np.random.default_rng(4)
-    params = init_decoder_params(C_V, rng)
+    params = decoder_params(seed=4)
     visual, sparse, _ = make_inputs(rng)
     zero = DenseEmbeddings(map=Tensor(np.zeros((C_V, 4, 4))))
     a = decode(visual, sparse, zero, None, params)
@@ -66,7 +73,7 @@ def test_zero_track_with_zero_value_projections_is_transparent():
     # ablate by construction: zero every attention value projection so a
     # token's presence cannot influence any other token or the image path
     rng = np.random.default_rng(5)
-    params = init_decoder_params(C_V, rng)
+    params = decoder_params(seed=5)
     for name, p in params.items():
         if ".wv." in name:
             p.data = np.zeros_like(p.data)
@@ -79,8 +86,7 @@ def test_zero_track_with_zero_value_projections_is_transparent():
 
 
 def test_decode_golden_regression():
-    rng = np.random.default_rng(6)
-    params = init_decoder_params(C_V, rng)
+    params = decoder_params(seed=2)
     visual, sparse, dense = make_inputs(np.random.default_rng(7))
     out = decode(visual, sparse, dense, None, params)
     # frozen from the first verified run of this configuration
@@ -93,7 +99,7 @@ GOLDEN_MAIN_ABS = 381.85760045982795
 def test_grad_check_decode_to_dice():
     rng = np.random.default_rng(8)
     c_v = 8
-    params = init_decoder_params(c_v, rng)
+    params = decoder_params(seed=8, c_v=c_v)
     visual, sparse, dense = make_inputs(rng, c_v=c_v, h0=2, w0=2)
     target = (rng.random((8, 8)) > 0.5).astype(float)
     cfg = LossConfig()

@@ -4,13 +4,33 @@ import pytest
 from refvos.autodiff import DimensionError, Tensor, grad_check
 from refvos.encoder import FrameFeatures, TextEmbeddings
 from refvos.fusion import (SparseEmbeddings, cross_modal_project,
-                           dense_attention, hierarchical_dense_attention,
-                           init_cross_modal_params, init_hda_params)
+                           dense_attention, hierarchical_dense_attention)
+from refvos.model import Model, ModelConfig
 
 
 def make_text(rng, length=3, width=64):
     words = Tensor(rng.normal(size=(length, width)))
     return TextEmbeddings(words=words, sentence=words.mean(axis=0))
+
+
+def random_params(rng, *layers):
+    """Random weights and biases for each (name, n_in, n_out) layer."""
+    params = {}
+    for name, n_in, n_out in layers:
+        params[name + ".weight"] = Tensor(rng.normal(size=(n_in, n_out)) / np.sqrt(n_in),
+                                          requires_grad=True)
+        params[name + ".bias"] = Tensor(rng.normal(0.0, 0.1, n_out), requires_grad=True)
+    return params
+
+
+def cmm_params(rng, c_e, hidden, c_v):
+    return random_params(rng, ("cmm.fc1", c_e, hidden), ("cmm.fc2", hidden, c_v))
+
+
+def hda_params(rng, c_v, c_mid):
+    """Four dense-attention branches and the three mid-map reductions."""
+    return random_params(rng, *[(f"hda.da{i}.conv", 2 * c_v, c_v) for i in range(4)],
+                         *[(f"hda.reduce{i}", c_mid, c_v) for i in range(1, 4)])
 
 
 def make_sparse(rng, length, c_v):
@@ -45,15 +65,15 @@ def brute_force_dense(feat, sentence, words, W, b):
 
 def test_cross_modal_shapes():
     rng = np.random.default_rng(0)
-    params = init_cross_modal_params(64, 256, 256, rng)
+    params = cmm_params(rng, 64, 256, 256)
     sp = cross_modal_project(make_text(rng, length=3, width=64), params)
     assert sp.words.shape == (3, 256)
     assert sp.sentence.shape == (256,)
 
 
 def test_cross_modal_zero_input_zero_biases():
-    rng = np.random.default_rng(1)
-    params = init_cross_modal_params(8, 8, 8, rng)
+    params = Model(ModelConfig(text_width=8, hidden=8, channels=8, blocks=2,
+                               token_width=8, adapter_width=4, vocab_size=8), seed=1).params
     text = TextEmbeddings(words=Tensor(np.zeros((2, 8))), sentence=Tensor(np.zeros(8)))
     sp = cross_modal_project(text, params)
     assert np.allclose(sp.words.data, 0)
@@ -62,7 +82,7 @@ def test_cross_modal_zero_input_zero_biases():
 
 def test_cross_modal_matches_mlp_oracle():
     rng = np.random.default_rng(2)
-    params = init_cross_modal_params(2, 2, 2, rng)
+    params = cmm_params(rng, 2, 2, 2)
     text = make_text(rng, length=1, width=2)
     sp = cross_modal_project(text, params)
     h = np.maximum(text.words.data @ params["cmm.fc1.weight"].data
@@ -73,7 +93,7 @@ def test_cross_modal_matches_mlp_oracle():
 
 def test_cross_modal_width_mismatch():
     rng = np.random.default_rng(3)
-    params = init_cross_modal_params(8, 8, 8, rng)
+    params = cmm_params(rng, 8, 8, 8)
     with pytest.raises(DimensionError):
         cross_modal_project(make_text(rng, width=9), params)
 
@@ -83,7 +103,7 @@ def test_dense_attention_symmetric_single_pixel():
     c_v = 4
     vec = rng.normal(size=c_v)
     sparse = SparseEmbeddings(words=Tensor(vec[None]), sentence=Tensor(vec.copy()))
-    params = init_hda_params(c_v, c_v, rng)
+    params = hda_params(rng, c_v, c_v)
     _, trace = dense_attention(Tensor(rng.normal(size=(c_v, 1, 1))), sparse, params)
     assert np.allclose(trace.attn.data, [[0.5, 0.5]])
 
@@ -91,7 +111,7 @@ def test_dense_attention_symmetric_single_pixel():
 def test_dense_attention_rows_sum_to_one():
     rng = np.random.default_rng(5)
     c_v = 8
-    params = init_hda_params(c_v, c_v, rng)
+    params = hda_params(rng, c_v, c_v)
     for _ in range(30):
         sparse = make_sparse(rng, int(rng.integers(1, 4)), c_v)
         feat = Tensor(rng.normal(size=(c_v, 3, 2)))
@@ -104,7 +124,7 @@ def test_dense_attention_trace_layout():
     rng = np.random.default_rng(6)
     c_v = 4
     sparse = make_sparse(rng, 2, c_v)
-    params = init_hda_params(c_v, c_v, rng)
+    params = hda_params(rng, c_v, c_v)
     _, trace = dense_attention(Tensor(rng.normal(size=(c_v, 2, 2))), sparse, params)
     assert np.array_equal(trace.tokens.data[0], sparse.sentence.data)
     assert np.array_equal(trace.tokens.data[1:], sparse.words.data)
@@ -118,7 +138,7 @@ def test_dense_attention_matches_brute_force():
         length = int(rng.integers(1, 4))
         feat = rng.normal(size=(c_v, h0, w0))
         sparse = make_sparse(rng, length, c_v)
-        params = init_hda_params(c_v, c_v, rng)
+        params = hda_params(rng, c_v, c_v)
         out, trace = dense_attention(Tensor(feat), sparse, params)
         expect, attn = brute_force_dense(feat, sparse.sentence.data, sparse.words.data,
                                          params["hda.da0.conv.weight"].data,
@@ -129,7 +149,7 @@ def test_dense_attention_matches_brute_force():
 
 def test_dense_attention_channel_mismatch():
     rng = np.random.default_rng(8)
-    params = init_hda_params(4, 4, rng)
+    params = hda_params(rng, 4, 4)
     with pytest.raises(DimensionError):
         dense_attention(Tensor(rng.normal(size=(4, 2, 2))), make_sparse(rng, 2, 6), params)
 
@@ -137,7 +157,7 @@ def test_dense_attention_channel_mismatch():
 def test_word_permutation_permutes_attention_columns():
     rng = np.random.default_rng(9)
     c_v = 6
-    params = init_hda_params(c_v, c_v, rng)
+    params = hda_params(rng, c_v, c_v)
     sparse = make_sparse(rng, 3, c_v)
     feat = Tensor(rng.normal(size=(c_v, 2, 3)))
     perm = [2, 0, 1]
@@ -153,7 +173,7 @@ def test_word_permutation_permutes_attention_columns():
 def test_hda_equals_sum_of_branches():
     rng = np.random.default_rng(10)
     c_v, c_mid = 8, 4
-    params = init_hda_params(c_v, c_mid, rng)
+    params = hda_params(rng, c_v, c_mid)
     sparse = make_sparse(rng, 2, c_v)
     ff = FrameFeatures(final=Tensor(rng.normal(size=(c_v, 3, 3))),
                        mids=[Tensor(rng.normal(size=(c_mid, 3, 3))) for _ in range(3)])
@@ -171,7 +191,7 @@ def test_hda_equals_sum_of_branches():
 def test_hda_stack_equals_per_frame_calls():
     rng = np.random.default_rng(12)
     c_v, c_mid, frames = 8, 4, 5
-    params = init_hda_params(c_v, c_mid, rng)
+    params = hda_params(rng, c_v, c_mid)
     sparse = make_sparse(rng, 3, c_v)
     ff = FrameFeatures(final=Tensor(rng.normal(size=(frames, c_v, 3, 2))),
                        mids=[Tensor(rng.normal(size=(frames, c_mid, 3, 2))) for _ in range(3)])
@@ -189,8 +209,8 @@ def test_hda_stack_equals_per_frame_calls():
 def test_grad_check_through_projection_and_attention():
     rng = np.random.default_rng(11)
     c_e, c_v = 4, 4
-    cmm = init_cross_modal_params(c_e, 4, c_v, rng)
-    hda = init_hda_params(c_v, c_v, rng)
+    cmm = cmm_params(rng, c_e, 4, c_v)
+    hda = hda_params(rng, c_v, c_v)
     feat = rng.normal(size=(c_v, 2, 2))
     words = rng.normal(size=(2, c_e))
 

@@ -8,8 +8,8 @@ from refvos.data import SyntheticSpec, generate_clip
 from refvos.losses import LossConfig
 from refvos.model import Model, ModelConfig
 from refvos.optim import AdamW
-from refvos.tracking import (clip_loss, init_itm_params, sample_training_frames,
-                             segment_clip, track_update, train_step)
+from refvos.tracking import (clip_loss, sample_training_frames, segment_clip,
+                             track_update, train_step)
 
 
 def toy_model(seed=0, **kw):
@@ -31,7 +31,7 @@ def default_lrs(**kw):
 
 def test_track_update_zero_init_is_layer_norm():
     rng = np.random.default_rng(0)
-    params = init_itm_params(16, rng)
+    params = toy_model(channels=16).params
     e_m = Tensor(rng.normal(size=16))
     out = track_update(e_m, params)
     expect = layer_norm(e_m, params["itm.ln.gamma"], params["itm.ln.beta"])
@@ -39,16 +39,16 @@ def test_track_update_zero_init_is_layer_norm():
 
 
 def test_track_update_zero_input_zero_output():
-    params = init_itm_params(8, np.random.default_rng(1))
+    params = toy_model(channels=8).params
     out = track_update(Tensor(np.zeros(8)), params)
     assert np.allclose(out.data, 0.0)
 
 
 def test_track_update_matches_composed_oracle():
     rng = np.random.default_rng(2)
-    params = init_itm_params(4, rng)
-    params["itm.fc2.weight"].data = rng.normal(size=(4, 4))
-    params["itm.fc2.bias"].data = rng.normal(size=4)
+    params = {f"itm.{name}": Tensor(rng.normal(size=shape)) for name, shape in (
+        ("fc1.weight", (4, 4)), ("fc1.bias", 4), ("fc2.weight", (4, 4)), ("fc2.bias", 4),
+        ("ln.gamma", 4), ("ln.beta", 4))}
     e_m = Tensor(rng.normal(size=4))
     out = track_update(e_m, params)
     h = linear(e_m, params["itm.fc1.weight"], params["itm.fc1.bias"]).relu()
