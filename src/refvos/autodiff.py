@@ -223,13 +223,6 @@ class Tensor:
             out._backward = lambda g: self._accum(g * e)
         return out
 
-    def log(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = _make(np.log(self.data), (self,), "log")
-        if out._parents:
-            out._backward = lambda g: self._accum(g / self.data)
-        return out
-
     def relu(self):
         out = _make(np.maximum(self.data, 0.0), (self,), "relu")
         if out._parents:

@@ -8,13 +8,13 @@ import numpy as np
 
 from .autodiff import DimensionError, NonFiniteError
 from .config import load_config
-from .data import (GenerationError, SyntheticSpec, clip_spec, generate_clip,
-                   list_clips, read_clip, write_dataset)
+from .data import (GenerationError, VideoClip, clip_spec, generate_clip, list_clips,
+                   read_clip, write_dataset)
 from .encoder import ConfigurationError, ReferringExpression
-from .io import (CheckpointError, ParseError, load_checkpoint, read_pgm,
-                 read_ppm, save_checkpoint, write_pgm, write_ppm)
+from .io import (CheckpointError, ParseError, from_8bit, load_checkpoint, read_pgm,
+                 read_ppm, save_checkpoint, to_8bit, write_pgm, write_ppm)
 from .metrics import aggregate, evaluate_sequence
-from .model import SEED_DATA, SEED_SAMPLER, Model, model_from_checkpoint
+from .model import SEED_SAMPLER, Model, model_from_checkpoint
 from .optim import AdamW
 from .tracking import sample_training_frames, segment_clip, train_step
 
@@ -24,29 +24,17 @@ EXIT_BAD_CHECKPOINT = 3
 EXIT_SHAPE_MISMATCH = 4
 
 
-def _seed(cfg):
-    env = os.environ.get("REFVOS_SEED")
-    return int(env) if env else cfg.train.seed
-
-
-def _spec(cfg, seed):
-    d = cfg.data
-    return SyntheticSpec(height=d.height, width=d.width, frames=d.frames,
-                         min_objects=d.min_objects, max_objects=d.max_objects,
-                         seed=seed + SEED_DATA)
-
-
 def cmd_generate(args):
     cfg = load_config(args.config)
-    n = write_dataset(args.out, _spec(cfg, _seed(cfg)), cfg.data.clips)
+    n = write_dataset(args.out, cfg.data_spec(cfg.train.seed), cfg.data.clips)
     print(f"wrote {n} clips to {args.out}")
     return EXIT_OK
 
 
-def _load_training_clips(cfg, seed):
+def _load_training_clips(cfg):
     if cfg.data.root:
         return [read_clip(d) for d in list_clips(cfg.data.root)]
-    spec = _spec(cfg, seed)
+    spec = cfg.data_spec(cfg.train.seed)
     return [generate_clip(clip_spec(spec, k)) for k in range(cfg.data.clips)]
 
 
@@ -58,9 +46,9 @@ def _validate(model, clips, tolerance):
 
 def cmd_train(args):
     cfg = load_config(args.config)
-    seed = _seed(cfg)
+    seed = cfg.train.seed
     model = Model(cfg.model_config(), seed=seed)
-    clips = _load_training_clips(cfg, seed)
+    clips = _load_training_clips(cfg)
     loss_cfg = cfg.loss_config()
     optimizer = AdamW(model.trainable_params(), cfg.learning_rates(),
                       weight_decay=cfg.train.weight_decay)
@@ -74,10 +62,12 @@ def cmd_train(args):
               f"iou={report['iou']:.6f} total={report['total']:.6f}")
         if step % cfg.train.checkpoint_interval == 0 or step == cfg.train.steps:
             save_checkpoint(args.out_checkpoint, model.checkpoint_arrays())
-    # validation from the written checkpoint, so infer + eval can reproduce it
+    # validation from the written checkpoint and on the frames as PPM files
+    # store them, so infer + eval on a generated dataset reproduce it
     model = model_from_checkpoint(load_checkpoint(args.out_checkpoint))
-    tol = cfg.eval.tolerance_px if cfg.eval.tolerance_px >= 0 else None
-    m = _validate(model, clips, tol)
+    stored = [(VideoClip(frames=[from_8bit(to_8bit(f)) for f in clip.frames]), expr, masks)
+              for clip, expr, masks in clips]
+    m = _validate(model, stored, cfg.eval.tolerance_px)
     print(f"J={m.J:.4f} F={m.F:.4f} JF={m.JF:.4f}")
     return EXIT_OK
 
@@ -90,7 +80,7 @@ def _read_prediction_masks(pred_root, clip_dir):
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    tol = cfg.eval.tolerance_px if cfg.eval.tolerance_px >= 0 else None
+    tol = cfg.eval.tolerance_px
     dirs = list_clips(args.data)
     clips = [read_clip(d) for d in dirs]
     if args.predictions:

@@ -3,21 +3,19 @@
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .data import SyntheticSpec
 from .encoder import ConfigurationError
 from .losses import LossConfig
-from .model import ModelConfig
+from .model import SEED_DATA, ModelConfig
 
 
 @dataclass
-class TrainSection:
+class TrainSection(LossConfig):
+    """The `train` section: the LossConfig fields (train.w_dice etc.) plus
+    the schedule, the seed and the learning rates."""
     n_frames: int = 3
     steps: int = 100
     seed: int = 0
-    w_dice: float = 5.0
-    w_focal: float = 2.0
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    dice_smooth: float = 1.0
     lr_cmm: float = 1e-4
     lr_hda: float = 1e-4
     lr_decoder: float = 1e-6
@@ -52,13 +50,20 @@ class RunConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def validate(self):
+        """Raise ConfigurationError, naming the key, unless every section
+        holds values that the model, the losses and the data generator take."""
         self.model_config()   # ModelConfig.__post_init__ checks the model section
-        if self.train.n_frames < 1:
-            raise ConfigurationError("train.n_frames must be >= 1")
+        for name in ("train", "data"):
+            section = getattr(self, name)
+            for f in fields(section):
+                if f.type is int and f.name != "seed" and getattr(section, f.name) < 1:
+                    raise ConfigurationError(f"{name}.{f.name} must be >= 1")
         for name in ("lr_cmm", "lr_hda", "lr_decoder", "lr_adapter", "lr_itm"):
             lr = getattr(self.train, name)
             if not (math.isfinite(lr) and lr > 0):
                 raise ConfigurationError(f"train.{name} must be finite and > 0, got {lr}")
+        self.loss_config()
+        self.data_spec(self.train.seed)
         return self
 
     def model_config(self):
@@ -66,14 +71,28 @@ class RunConfig:
         return replace(self.model)
 
     def loss_config(self):
-        t = self.train
-        return LossConfig(focal_alpha=t.focal_alpha, focal_gamma=t.focal_gamma,
-                          dice_smooth=t.dice_smooth, w_dice=t.w_dice, w_focal=t.w_focal)
+        return _checked("train", LossConfig, {f.name: getattr(self.train, f.name)
+                                              for f in fields(LossConfig)})
+
+    def data_spec(self, seed):
+        """The SyntheticSpec of the data section for run seed `seed`."""
+        values = {f.name: getattr(self.data, f.name) for f in fields(SyntheticSpec)
+                  if f.name != "seed"}
+        return _checked("data", SyntheticSpec, dict(values, seed=seed + SEED_DATA))
 
     def learning_rates(self):
         t = self.train
         return {"cmm": t.lr_cmm, "hda": t.lr_hda, "decoder": t.lr_decoder,
                 "adapter": t.lr_adapter, "itm": t.lr_itm}
+
+
+def _checked(section, cls, values):
+    """cls(**values); the ValueError of its checks, whose messages begin with
+    the field name, becomes a ConfigurationError on the section's key."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigurationError(f"{section}.{exc}") from None
 
 
 def _convert(raw, ftype, key):

@@ -37,12 +37,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # each message begins with the field it names
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
-        if not (1 <= self.min_objects <= self.max_objects <= 4):
-            raise ValueError("objects per clip must lie in 1..4")
-        if self.height < 32 or self.width < 32:
-            raise ValueError("canvas must be at least 32x32")
+        if self.min_objects < 1:
+            raise ValueError("min_objects must be >= 1")
+        if not self.min_objects <= self.max_objects <= 4:
+            raise ValueError("max_objects must lie in min_objects..4")
+        for name in ("height", "width"):
+            if getattr(self, name) < 32:
+                raise ValueError(f"{name} must be >= 32")
 
 
 def _raster(shape, size, cy, cx, h, w):

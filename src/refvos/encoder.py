@@ -14,39 +14,6 @@ class ConfigurationError(ValueError):
 
 
 @dataclass
-class VisualEncoderConfig:
-    patch_size: int = 8
-    block_count: int = 4
-    token_width: int = 64
-    out_channels: int = 256          # channel width shared with the decoder
-    adapter_width: int = 8           # bottleneck of each adapter
-    mlp_ratio: int = 2
-
-    def __post_init__(self):
-        if self.block_count < 2 or self.block_count % 2 != 0:
-            raise ConfigurationError("block_count must be even and >= 2")
-        if self.adapter_width >= self.token_width:
-            raise ConfigurationError("adapter_width must be < token_width")
-
-    @property
-    def tap_indices(self):
-        """The 3 block indices whose outputs become the mid maps."""
-        b = self.block_count
-        taps = sorted({b // 4, b // 2, 3 * b // 4})
-        return tuple(taps[:1] * (3 - len(taps)) + taps)
-
-    @property
-    def mid_channels(self):
-        return self.token_width
-
-    @property
-    def adapter_blocks(self):
-        # latter half of the blocks carries adapters; a range, so a membership
-        # test allocates nothing however large a garbled block count is
-        return range(self.block_count // 2, self.block_count)
-
-
-@dataclass
 class FrameFeatures:
     final: Tensor      # (..., C_v, H0, W0)
     mids: list         # 3 x (..., C_mid, H0, W0)
@@ -110,11 +77,12 @@ def attention(q_in, kv_in, params, prefix):
     return linear(att @ v, params[prefix + "wo.weight"], params[prefix + "wo.bias"])
 
 
-def encode_frame(frame, cfg, params, use_adapter=True):
+def encode_frame(frame, cfg, params):
     """Run a frame (a (3, H, W) array in [0, 1]) or a stack of equally sized
     frames ((..., 3, H, W), or a sequence of frames) through the encoder.
     Frames do not interact: the features keep the leading axes, and each
-    frame's features equal those of its own rank-3 call bit for bit."""
+    frame's features equal those of its own rank-3 call bit for bit. `cfg`
+    is a ModelConfig; with cfg.adapter false the adapters are skipped."""
     try:
         frame = np.asarray(frame)
     except ValueError as exc:    # a sequence of frames of mixed sizes
@@ -138,24 +106,24 @@ def encode_frame(frame, cfg, params, use_adapter=True):
     tokens = tokens + Tensor(sinusoidal_grid(d, h0, w0, dtype))
 
     taps = {}
-    for i in range(cfg.block_count):
+    for i in range(cfg.blocks):
         pre = f"encoder.block{i}."
         x = layer_norm(tokens, params[pre + "ln1.gamma"], params[pre + "ln1.beta"])
         tokens = tokens + attention(x, x, params, pre + "attn.")
-        if use_adapter and i in cfg.adapter_blocks:
+        if cfg.adapter and i in cfg.adapter_blocks:
             tokens = adapter_forward(tokens, params, pre + "adapter1.")
         x = layer_norm(tokens, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
         x = linear(x, params[pre + "mlp.fc1.weight"], params[pre + "mlp.fc1.bias"]).relu()
         tokens = tokens + linear(x, params[pre + "mlp.fc2.weight"], params[pre + "mlp.fc2.bias"])
-        if use_adapter and i in cfg.adapter_blocks:
+        if cfg.adapter and i in cfg.adapter_blocks:
             tokens = adapter_forward(tokens, params, pre + "adapter2.")
         if i in cfg.tap_indices:
             taps[i] = tokens
 
-    mids = [taps[i].mT.reshape(*lead, cfg.mid_channels, h0, w0) for i in cfg.tap_indices]
+    mids = [taps[i].mT.reshape(*lead, d, h0, w0) for i in cfg.tap_indices]
     neck = linear(tokens, params["encoder.neck.proj.weight"], params["encoder.neck.proj.bias"])
     neck = layer_norm(neck, params["encoder.neck.ln.gamma"], params["encoder.neck.ln.beta"])
-    final = neck.mT.reshape(*lead, cfg.out_channels, h0, w0)
+    final = neck.mT.reshape(*lead, cfg.channels, h0, w0)
     return FrameFeatures(final=final, mids=mids)
 
 

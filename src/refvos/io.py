@@ -68,13 +68,23 @@ def read_pgm(path):
     return (data.reshape(h, w) >= 128).astype(np.uint8)
 
 
+def to_8bit(frame):
+    """The 8-bit values a PPM stores for a float frame in [0, 1]."""
+    return np.clip(np.round(frame * 255.0), 0, 255).astype(np.uint8)
+
+
+def from_8bit(data):
+    """The float frame of stored 8-bit values, as read_ppm returns it."""
+    return data.astype(np.float64) / 255.0
+
+
 def write_ppm(path, frame):
     """Binary PPM from a (3, H, W) float array in [0, 1]."""
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[0] != 3:
         raise ValueError("write_ppm expects a (3, H, W) frame")
     _, h, w = frame.shape
-    data = np.clip(np.round(frame * 255.0), 0, 255).astype(np.uint8)
+    data = to_8bit(frame)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.transpose(1, 2, 0).tobytes())
@@ -82,7 +92,7 @@ def write_ppm(path, frame):
 
 def read_ppm(path):
     data, h, w = _read_pnm(path, b"P6")
-    return data.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return from_8bit(data.reshape(h, w, 3).transpose(2, 0, 1))
 
 
 # ---- checkpoints ----------------------------------------------------------

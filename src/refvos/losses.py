@@ -16,14 +16,18 @@ class LossConfig:
     w_focal: float = 2.0
 
     def __post_init__(self):
+        # each message begins with the field it names
         if not (0.0 < self.focal_alpha < 1.0):
             raise ValueError("focal_alpha must lie in (0, 1)")
         if self.focal_gamma < 0.0:
             raise ValueError("focal_gamma must be >= 0")
         if self.dice_smooth <= 0.0:
             raise ValueError("dice_smooth must be > 0")
-        if self.w_dice < 0.0 or self.w_focal < 0.0 or self.w_dice + self.w_focal <= 0.0:
-            raise ValueError("loss weights must be >= 0 with at least one > 0")
+        for name in ("w_dice", "w_focal"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.w_dice + self.w_focal <= 0.0:
+            raise ValueError("w_dice + w_focal must be > 0")
 
 
 def _check_pair(pred, target):

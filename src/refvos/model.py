@@ -9,8 +9,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Tensor
 from .decoder import decode
-from .encoder import (ConfigurationError, VisualEncoderConfig, encode_frame,
-                      encode_text)
+from .encoder import ConfigurationError, encode_frame, encode_text
 from .fusion import (cross_modal_project, dense_attention,
                      hierarchical_dense_attention)
 from .io import CheckpointError
@@ -54,14 +53,24 @@ class ModelConfig:
         if self.hda and not self.da:
             raise ConfigurationError("model.hda requires model.da")
         if self.channels % 4 or self.token_width % 4:
-            raise ConfigurationError("channel widths must be divisible by 4")
-        self.visual_config()   # and the encoder's own checks
+            raise ConfigurationError("model.channels and model.token_width must be divisible by 4")
+        if self.blocks % 2:
+            raise ConfigurationError("model.blocks must be even")
+        if self.adapter_width >= self.token_width:
+            raise ConfigurationError("model.adapter_width must be < model.token_width")
 
-    def visual_config(self):
-        return VisualEncoderConfig(
-            patch_size=self.patch_size, block_count=self.blocks,
-            token_width=self.token_width, out_channels=self.channels,
-            adapter_width=self.adapter_width, mlp_ratio=self.mlp_ratio)
+    @property
+    def tap_indices(self):
+        """The 3 encoder blocks whose outputs become the mid maps."""
+        b = self.blocks
+        taps = sorted({b // 4, b // 2, 3 * b // 4})
+        return tuple(taps[:1] * (3 - len(taps)) + taps)
+
+    @property
+    def adapter_blocks(self):
+        # latter half of the blocks carries adapters; a range, so a membership
+        # test allocates nothing however large a garbled block count is
+        return range(self.blocks // 2, self.blocks)
 
 
 # ---- parameter schema -------------------------------------------------------
@@ -85,7 +94,7 @@ def _attention(prefix, width):
         yield from _linear(prefix + nm, width, width)
 
 
-def _entries(cfg, vcfg):
+def _entries(cfg):
     d, cv, hid = cfg.token_width, cfg.channels, cfg.token_width * cfg.mlp_ratio
     yield from _linear("encoder.patch", 3 * cfg.patch_size ** 2, d)
     for i in range(cfg.blocks):
@@ -95,7 +104,7 @@ def _entries(cfg, vcfg):
         yield from _norm(pre + "ln2", d)
         yield from _linear(pre + "mlp.fc1", d, hid)
         yield from _linear(pre + "mlp.fc2", hid, d)
-        if cfg.adapter and i in vcfg.adapter_blocks:
+        if cfg.adapter and i in cfg.adapter_blocks:
             for a in ("adapter1", "adapter2"):
                 yield from _linear(pre + a + ".down", d, cfg.adapter_width)
                 # zero-init up projection: adapters start as the identity
@@ -117,7 +126,7 @@ def _entries(cfg, vcfg):
         for i in range(4):
             yield from _linear(f"hda.da{i}.conv", 2 * cv, cv)
         for i in range(1, 4):
-            yield from _linear(f"hda.reduce{i}", vcfg.mid_channels, cv)
+            yield from _linear(f"hda.reduce{i}", d, cv)
 
     for token in ("iou", "main", "scale0", "scale1", "scale2"):
         yield f"decoder.token.{token}", (cv,), "normal"
@@ -146,11 +155,11 @@ def _entries(cfg, vcfg):
         yield from _norm("itm.ln", cv)
 
 
-def param_schema(cfg, vcfg):
+def param_schema(cfg):
     """Every parameter of the model `cfg` describes, in draw order. A
     generator, so a caller checking records against it stops at the first
     mismatch, however large the widths of a garbled config."""
-    for name, shape, init in _entries(cfg, vcfg):
+    for name, shape, init in _entries(cfg):
         yield ParamSpec(name, shape, init, PARAM_STREAMS[name.split(".", 1)[0]])
 
 
@@ -189,15 +198,16 @@ class Model:
     def __init__(self, cfg, seed=0, dtype=np.float64):
         """Draw every parameter of the schema from its stream, seeded with
         seed + stream: the same seed gives the same parameter bytes."""
-        vcfg = cfg.visual_config()
         rngs = {s: np.random.default_rng(seed + s) for s in set(PARAM_STREAMS.values())}
-        self._adopt(cfg, vcfg, dtype, ((p.name, _draw(p, rngs[p.stream]))
-                                       for p in param_schema(cfg, vcfg)))
+        self._adopt(cfg, dtype, ((p.name, _draw(p, rngs[p.stream]))
+                                 for p in param_schema(cfg)))
 
-    def _adopt(self, cfg, vcfg, dtype, arrays):
+    def _adopt(self, cfg, dtype, arrays):
         """Take (name, array) pairs as the parameters; frozen ones record no
-        gradient."""
-        self.cfg, self.vcfg, self.dtype = cfg, vcfg, dtype
+        gradient. `vcfg` is the same object as `cfg`, kept for callers that
+        read the encoder settings under that name."""
+        self.cfg = self.vcfg = cfg
+        self.dtype = dtype
         self.params = {n: Tensor(np.asarray(a, dtype=dtype),
                                  requires_grad=module_of(n) not in FROZEN_GROUPS)
                        for n, a in arrays}
@@ -211,8 +221,7 @@ class Model:
         return cross_modal_project(text, self.params)
 
     def encode_frame(self, frame):
-        return encode_frame(frame, self.vcfg, self.params,
-                            use_adapter=self.cfg.adapter)
+        return encode_frame(frame, self.cfg, self.params)
 
     def dense_embeddings(self, ff, sparse):
         if self.cfg.hda:
@@ -256,7 +265,7 @@ class Model:
         if any(n.startswith(CONFIG_PREFIX) for n in arrays) and \
                 _config_from_arrays(arrays) != self.cfg:
             raise CheckpointError("checkpoint config records differ from the model's config")
-        _check_records(param_schema(self.cfg, self.vcfg), arrays)
+        _check_records(param_schema(self.cfg), arrays)
         for name, p in self.params.items():
             p.data, p.grad = np.asarray(arrays[name], dtype=self.dtype), None
 
@@ -290,12 +299,10 @@ def model_from_checkpoint(arrays, dtype=np.float64):
     draws nothing, and allocates nothing before every record's name and
     shape match the schema of the recorded config."""
     cfg = _config_from_arrays(arrays)
-    vcfg = cfg.visual_config()
-    _check_records(param_schema(cfg, vcfg), arrays)
+    _check_records(param_schema(cfg), arrays)
     model = Model.__new__(Model)
     try:
-        model._adopt(cfg, vcfg, dtype, ((p.name, arrays[p.name])
-                                        for p in param_schema(cfg, vcfg)))
+        model._adopt(cfg, dtype, ((p.name, arrays[p.name]) for p in param_schema(cfg)))
     except NonFiniteError as exc:
         raise CheckpointError(f"checkpoint parameters are not finite: {exc}") from exc
     return model

@@ -9,6 +9,7 @@ import filecmp
 import io
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -228,8 +229,8 @@ def test_acceptance_5_freezing_contract():
 def test_acceptance_6_zero_init_transparency():
     model = _toy_model(seed=6)
     frame = np.random.default_rng(6).random((3, 64, 64))
-    with_ad = encode_frame(frame, model.vcfg, model.params, use_adapter=True)
-    without = encode_frame(frame, model.vcfg, model.params, use_adapter=False)
+    with_ad = encode_frame(frame, model.cfg, model.params)
+    without = encode_frame(frame, replace(model.cfg, adapter=False), model.params)
     enc_ok = np.array_equal(with_ad.final.data, without.final.data) and \
         all(np.array_equal(a.data, b.data) for a, b in zip(with_ad.mids, without.mids))
 

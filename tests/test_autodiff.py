@@ -154,8 +154,8 @@ def test_transposed_conv_upscale_doubles():
 
 
 def test_nonfinite_raises_with_op_name():
-    with pytest.raises(NonFiniteError, match="log"):
-        Tensor([0.0]).log()
+    with pytest.raises(NonFiniteError, match="pow"), np.errstate(divide="ignore"):
+        Tensor([0.0]) ** -1.0
 
 
 def test_grad_check_quadratic():
@@ -222,7 +222,7 @@ def test_backward_requires_scalar():
 
 def _every_op(x):
     """One output of each primitive op, with x a (2, 2) positive tensor."""
-    return [x + x, -x, x * x, x ** 2.0, x @ x, x.exp(), x.log(), x.relu(),
+    return [x + x, -x, x * x, x ** 2.0, x @ x, x.exp(), x.relu(),
             x.sigmoid(), x.softplus(), x.reshape(4), x.transpose(1, 0), x[0],
             x.sum(axis=0), concat([x, x], axis=0)]
 
@@ -259,8 +259,8 @@ def test_no_grad_restores_recording_after_nesting_and_errors():
 
 def test_no_grad_still_raises_nonfinite_with_op_name():
     with no_grad():
-        with pytest.raises(NonFiniteError, match="log"):
-            Tensor([0.0]).log()
+        with pytest.raises(NonFiniteError, match="pow"), np.errstate(divide="ignore"):
+            Tensor([0.0]) ** -1.0
         with pytest.raises(NonFiniteError, match="mul"), np.errstate(over="ignore"):
             Tensor([np.finfo(np.float64).max]) * Tensor([2.0])
 

@@ -105,7 +105,7 @@ def test_load_state_missing_or_misshaped_parameter():
     (lambda a: a.update({"config.itm": np.full(1, 2.0, np.float32)}), "'itm' holds"),
     (lambda a: a.update({"config.hda": np.ones(2, np.float32)}), "'hda' holds"),
     (lambda a: a.update({"config.da": np.zeros(1, np.float32)}), "invalid: model.hda requires"),
-    (lambda a: a.update({"config.blocks": np.full(1, 3.0, np.float32)}), "invalid: block_count"),
+    (lambda a: a.update({"config.blocks": np.full(1, 3.0, np.float32)}), "invalid: model.blocks must be even"),
     (lambda a: a.update({"config.patch_size": np.zeros(1, np.float32)}),
      "invalid: model.patch_size must be >= 1"),
     (lambda a: a.update({"config.vocab_size": np.zeros(1, np.float32)}),

@@ -98,6 +98,13 @@ def test_train_zero_model_size_exits_4(tmp_path, capsys, key):
     ("model.blocks = two", "line 19: bad value for 'model.blocks'"),
     ("train.lr_cmm = nan", "train.lr_cmm must be finite"),
     ("train.w_dice = inf", "line 19: bad value for 'train.w_dice': train.w_dice must be finite"),
+    ("train.focal_alpha = 1.5", "train.focal_alpha must lie in (0, 1)"),
+    ("train.w_dice = -1", "train.w_dice must be >= 0"),
+    ("train.checkpoint_interval = 0", "train.checkpoint_interval must be >= 1"),
+    ("train.steps = 0", "train.steps must be >= 1"),
+    ("data.clips = 0", "data.clips must be >= 1"),
+    ("data.height = 16", "data.height must be >= 32"),
+    ("data.max_objects = 5", "data.max_objects must lie in min_objects..4"),
 ])
 def test_train_bad_value_exits_4_before_step_1(tmp_path, capsys, line, message):
     cfg = write_toy_config(tmp_path, extra=line + "\n")
@@ -107,6 +114,18 @@ def test_train_bad_value_exits_4_before_step_1(tmp_path, capsys, line, message):
     assert message in err
     assert "step=" not in out
     assert not ckpt.exists()
+
+
+def test_train_zero_steps_keeps_existing_checkpoint(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path, extra="train.steps = 0\n")
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    before = ckpt.read_bytes()
+    assert main(["train", "--config", cfg, "--out-checkpoint", str(ckpt)]) == EXIT_SHAPE_MISMATCH
+    out, err = capsys.readouterr()
+    assert "train.steps must be >= 1" in err
+    assert "J=" not in out
+    assert ckpt.read_bytes() == before
 
 
 def test_validate_hda_requires_da():
@@ -160,16 +179,12 @@ def test_generate_impossible_long_clips_exits_one(tmp_path, capsys):
     assert "error: object cannot stay inside its cell" in capsys.readouterr().err
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    cfg = write_toy_config(tmp_path)
-    a, b = tmp_path / "a", tmp_path / "b"
-    main(["generate", "--config", cfg, "--out", str(a)])
-    monkeypatch.setenv("REFVOS_SEED", "99")
-    main(["generate", "--config", cfg, "--out", str(b)])
-    assert (a / "clip0000" / "expression.txt").read_text() != \
-           (b / "clip0000" / "expression.txt").read_text() or \
-           not filecmp.cmp(a / "clip0000" / "frames" / "00000.ppm",
-                           b / "clip0000" / "frames" / "00000.ppm", shallow=False)
+def test_generate_small_canvas_exits_4(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path, extra="data.height = 16\n")
+    out = tmp_path / "data"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_SHAPE_MISMATCH
+    assert "data.height must be >= 32" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---- train / eval / infer ---------------------------------------------------
@@ -197,6 +212,21 @@ def test_eval_checkpoint_matches_training_validation(tmp_path, capsys):
     main(["train", "--config", cfg, "--out-checkpoint", str(ckpt)])
     val_line = capsys.readouterr().out.strip().splitlines()[-1]
     assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt),
+                 "--data", str(data)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == val_line
+
+
+def test_eval_checkpoint_matches_training_validation_quickstart(tmp_path, capsys):
+    # the README quickstart config at 20 steps: validating on float frames
+    # instead of the 8-bit frames eval reads printed F=0.0358 against 0.0357
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"model.{k} = {v}\n" for k, v in TOY_MODEL.items())
+                    + "train.steps = 20\ndata.clips = 4\n")
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    main(["generate", "--config", str(path), "--out", str(data)])
+    main(["train", "--config", str(path), "--out-checkpoint", str(ckpt)])
+    val_line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
                  "--data", str(data)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == val_line
 

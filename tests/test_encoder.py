@@ -1,29 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from refvos.autodiff import DimensionError, Tensor, layer_norm, linear
 from refvos.encoder import (ConfigurationError, ReferringExpression,
-                            VisualEncoderConfig, adapter_forward, encode_frame,
-                            encode_text, pool_sentence)
+                            adapter_forward, encode_frame, encode_text,
+                            pool_sentence)
 from refvos.model import Model, ModelConfig
 
 SMALL_TEXT = dict(text_width=8, vocab_size=8, hidden=8)
 
 
 def toy_cfg(**kw):
-    base = dict(patch_size=8, block_count=2, token_width=32, out_channels=32,
-                adapter_width=4)
+    base = dict(patch_size=8, blocks=2, token_width=32, channels=32,
+                adapter_width=4, **SMALL_TEXT)
     base.update(kw)
-    return VisualEncoderConfig(**base)
+    return ModelConfig(**base)
 
 
 def toy_params(cfg, seed=0):
-    """The parameters of a fresh model with encoder `cfg`; its encoder draws
+    """The parameters of a fresh model with config `cfg`; its encoder draws
     from the stream seeded with seed + 1."""
-    return Model(ModelConfig(patch_size=cfg.patch_size, blocks=cfg.block_count,
-                             token_width=cfg.token_width, channels=cfg.out_channels,
-                             adapter_width=cfg.adapter_width, mlp_ratio=cfg.mlp_ratio,
-                             **SMALL_TEXT), seed=seed).params
+    return Model(cfg, seed=seed).params
 
 
 def rand_frame(rng, h=64, w=64):
@@ -31,22 +30,22 @@ def rand_frame(rng, h=64, w=64):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        VisualEncoderConfig(block_count=3)
-    with pytest.raises(ConfigurationError):
-        VisualEncoderConfig(token_width=8, adapter_width=8)
+    with pytest.raises(ConfigurationError, match="model.blocks must be even"):
+        toy_cfg(blocks=3)
+    with pytest.raises(ConfigurationError, match="model.adapter_width must be <"):
+        toy_cfg(token_width=8, adapter_width=8)
 
 
 def test_tap_indices_derive_from_block_count():
-    assert VisualEncoderConfig(block_count=2).tap_indices == (0, 0, 1)
-    assert VisualEncoderConfig(block_count=4).tap_indices == (1, 2, 3)
-    assert VisualEncoderConfig(block_count=8).tap_indices == (2, 4, 6)
+    assert ModelConfig(blocks=2).tap_indices == (0, 0, 1)
+    assert ModelConfig(blocks=4).tap_indices == (1, 2, 3)
+    assert ModelConfig(blocks=8).tap_indices == (2, 4, 6)
     with pytest.raises(AttributeError):
-        VisualEncoderConfig().tap_indices = (0, 1, 2)
+        ModelConfig().tap_indices = (0, 1, 2)
 
 
 def test_adapter_blocks_are_latter_half():
-    assert tuple(VisualEncoderConfig(block_count=4).adapter_blocks) == (2, 3)
+    assert tuple(ModelConfig(blocks=4).adapter_blocks) == (2, 3)
     assert tuple(toy_cfg().adapter_blocks) == (1,)
 
 
@@ -56,12 +55,12 @@ def test_encode_frame_shapes():
     ff = encode_frame(np.random.default_rng(0).random((3, 64, 64)), cfg, params)
     assert ff.final.shape == (32, 8, 8)
     assert len(ff.mids) == 3
-    assert all(m.shape == (cfg.mid_channels, 8, 8) for m in ff.mids)
+    assert all(m.shape == (cfg.token_width, 8, 8) for m in ff.mids)
 
 
 def test_encode_frame_default_out_channels_256():
-    cfg = VisualEncoderConfig(patch_size=8, block_count=2, token_width=32,
-                              adapter_width=4)
+    cfg = ModelConfig(patch_size=8, blocks=2, token_width=32, adapter_width=4,
+                      **SMALL_TEXT)
     params = toy_params(cfg)
     ff = encode_frame(np.random.default_rng(1).random((3, 64, 64)), cfg, params)
     assert ff.final.shape == (256, 8, 8)
@@ -133,8 +132,8 @@ def test_adapter_zero_init_encoder_transparency():
     cfg = toy_cfg()
     params = toy_params(cfg)
     frame = np.random.default_rng(4).random((3, 64, 64))
-    with_ad = encode_frame(frame, cfg, params, use_adapter=True)
-    without = encode_frame(frame, cfg, params, use_adapter=False)
+    with_ad = encode_frame(frame, cfg, params)
+    without = encode_frame(frame, replace(cfg, adapter=False), params)
     assert np.array_equal(with_ad.final.data, without.final.data)
 
 
