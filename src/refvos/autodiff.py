@@ -15,20 +15,26 @@ output's gradient and holds only the arrays it needs, never the output
 itself. A graph is therefore acyclic and is freed by reference counting as
 soon as its last output is dropped.
 
-`linear` (matmul and bias), `softmax` and `layer_norm` are single fused
-ops. Each runs the numpy expressions of its chain of primitive ops
-(`x @ W + b`; `exp(x - max) / sum`; `(x - mean) * (var + eps) ** -0.5 *
-gamma + beta`) in the same order, and its backward repeats that chain's
-gradient arithmetic in the chain's order, including the two separate
-accumulations into a layer_norm input. Floating-point sums depend on their
-order, so every value and gradient stays bit-identical to the chain, and
-same-seed training runs stay byte-identical; a textbook analytic backward
-would change their last bits.
+`linear` (matmul and bias), `softmax`, `layer_norm`, `conv1x1` and
+`transposed_conv_upscale` are single fused ops. Each runs the numpy
+expressions of its chain of primitive ops (`x @ W + b`; `exp(x - max) /
+sum`; `(x - mean) * (var + eps) ** -0.5 * gamma + beta`; the reshapes and
+transposes around a `linear`, and the bias add) in the same order and on the
+same views, and its backward repeats that chain's gradient arithmetic in the
+chain's order, including the two separate accumulations into a layer_norm
+input. Floating-point sums depend on their order, so every value and
+gradient stays bit-identical to the chain, and same-seed training runs stay
+byte-identical; a textbook analytic backward would change their last bits.
+
+`Tensor.grad` arrays are not copied when stored: one array may be the
+gradient of several tensors, or a read-only broadcast view. Callers read
+them and never write to them in place; copy one before changing it.
 
 Inside a `with no_grad():` block ops record no parents and no closure, so
 inference keeps no graph alive; outputs are still checked for finiteness.
-Blocks nest, and leaving one (also by an exception) restores the recording
-state it found. The state is process-wide, not per thread.
+`recording(enabled)` sets the state for a block and `is_recording()` reads
+it. Blocks nest, and leaving one (also by an exception) restores the
+recording state it found. The state is process-wide, not per thread.
 """
 
 import contextlib
@@ -53,20 +59,30 @@ def _check_finite(data, op):
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Record no graph for the ops run inside the block."""
+def recording(enabled):
+    """Record a graph for the ops run inside the block only if `enabled`."""
     global _recording
-    previous, _recording = _recording, False
+    previous, _recording = _recording, enabled
     try:
         yield
     finally:
         _recording = previous
 
 
+def no_grad():
+    """Record no graph for the ops run inside the block."""
+    return recording(False)
+
+
+def is_recording():
+    """Whether ops run now record a graph (False inside `no_grad`)."""
+    return _recording
+
+
 def _sigmoid(d):
     """Numerically stable logistic function of an array."""
-    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _unbroadcast(grad, shape):
@@ -117,7 +133,7 @@ class Tensor:
         if g.shape != self.data.shape:
             g = _unbroadcast(g, self.data.shape).reshape(self.data.shape)
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
             self.grad = self.grad + g
 
@@ -339,9 +355,14 @@ def concat(tensors, axis=0):
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
     if out._parents:
         def bwd(g):
-            splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-            for t, part in zip(tensors, np.split(g, splits, axis=axis)):
-                t._accum(part)
+            index = [slice(None)] * g.ndim
+            start = 0
+            for t in tensors:
+                stop = start + t.data.shape[axis]
+                if t.requires_grad:
+                    index[axis] = slice(start, stop)
+                    t._accum(g[tuple(index)])
+                start = stop
 
         out._backward = bwd
     return out
@@ -447,15 +468,40 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 def conv1x1(x, W, b=None):
-    """Per-pixel linear map: x is (..., C_in, H, W), W is (C_in, C_out)."""
+    """Per-pixel linear map, as one op: x is (..., C_in, H, W), W is
+    (C_in, C_out). The chain it fuses is `linear(x.reshape(..., C_in, H*W).mT,
+    W, b).mT.reshape(..., C_out, H, W)`."""
     if x.data.ndim < 3:
         raise DimensionError("conv1x1: input must be (..., C, H, W)")
     *lead, cin, h, w = x.shape
     if cin != W.shape[0]:
         raise DimensionError(f"conv1x1: channel mismatch ({cin} vs {W.shape[0]})")
     cout = W.shape[1]
-    y = linear(x.reshape(*lead, cin, h * w).mT, W, b)
-    return y.mT.reshape(*lead, cout, h, w)
+    swap = (*range(len(lead)), len(lead) + 1, len(lead))   # the axes of .mT
+    x2 = x.data.reshape(*lead, cin, h * w).transpose(swap)
+    xw = np.matmul(x2, W.data)
+    y = xw if b is None else xw + b.data
+    out = _make(y.transpose(swap).reshape(*lead, cout, h, w),
+                (x, W) if b is None else (x, W, b), "conv1x1")
+    if out._parents:
+        y_dtype, xw_dtype = y.dtype, xw.dtype
+
+        def bwd(g):
+            # the chain's order: the reshape and .mT back, linear's bias,
+            # x and W, then .mT and the reshape back to x; every cast is one
+            # that storing the gradient of an intermediate tensor made
+            g = g.astype(y_dtype, copy=False).reshape(*lead, cout, h * w).transpose(swap)
+            if b is not None:
+                b._accum(g)
+                g = g.astype(xw_dtype, copy=False)
+            if x.requires_grad:
+                gx = np.matmul(g, W.data.swapaxes(-1, -2)).astype(x.dtype, copy=False)
+                x._accum(gx.transpose(swap).reshape(x.shape))
+            if W.requires_grad:
+                W._accum(np.matmul(x2.swapaxes(-1, -2), g))
+
+        out._backward = bwd
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -486,9 +532,13 @@ def bilinear_resize(x, out_h, out_w):
 
 
 def transposed_conv_upscale(x, W, b=None):
-    """Stride-2 transposed conv with a 2x2 kernel; doubles the spatial size.
+    """Stride-2 transposed conv with a 2x2 kernel, as one op; doubles the
+    spatial size.
 
-    x: (C_in, H, W); W: (C_in, C_out, 2, 2); b: (C_out,).
+    x: (C_in, H, W); W: (C_in, C_out, 2, 2); b: (C_out,). The chain it fuses
+    is `linear(x.reshape(C_in, H*W).T, W.reshape(C_in, 4*C_out))`, reshaped
+    to (H, W, C_out, 2, 2), transposed to (C_out, H, 2, W, 2) and reshaped
+    to (C_out, 2H, 2W), plus `b.reshape(C_out, 1, 1)`.
     """
     if x.data.ndim != 3 or W.data.ndim != 4:
         raise DimensionError("transposed_conv_upscale: bad ranks")
@@ -496,11 +546,33 @@ def transposed_conv_upscale(x, W, b=None):
     if cin != W.shape[0] or W.shape[2:] != (2, 2):
         raise DimensionError("transposed_conv_upscale: weight shape mismatch")
     cout = W.shape[1]
-    y = linear(x.reshape(cin, h * w).transpose(1, 0), W.reshape(cin, cout * 4))
-    y = y.reshape(h, w, cout, 2, 2).transpose(2, 0, 3, 1, 4).reshape(cout, 2 * h, 2 * w)
-    if b is not None:
-        y = y + b.reshape(cout, 1, 1)
-    return y
+    x2 = x.data.reshape(cin, h * w).transpose(1, 0)
+    w2 = W.data.reshape(cin, cout * 4)
+    xw = np.matmul(x2, w2)
+    y = xw.reshape(h, w, cout, 2, 2).transpose(2, 0, 3, 1, 4).reshape(cout, 2 * h, 2 * w)
+    out = _make(y if b is None else y + b.data.reshape(cout, 1, 1),
+                (x, W) if b is None else (x, W, b), "transposed_conv_upscale")
+    if out._parents:
+        xw_dtype = xw.dtype
+
+        def bwd(g):
+            # the chain's order: the layout ops back to linear's output, its
+            # x and W, the reshapes back to x and W, then the bias; every
+            # cast is one that storing the gradient of an intermediate
+            # tensor made
+            gy = (g.astype(xw_dtype, copy=False).reshape(cout, h, 2, w, 2)
+                  .transpose(1, 3, 0, 2, 4).reshape(h * w, cout * 4))
+            if x.requires_grad:
+                gx = np.matmul(gy, w2.swapaxes(-1, -2)).astype(x.dtype, copy=False)
+                x._accum(gx.transpose(1, 0).reshape(x.shape))
+            if W.requires_grad:
+                gw = np.matmul(x2.swapaxes(-1, -2), gy).astype(W.dtype, copy=False)
+                W._accum(gw.reshape(W.shape))
+            if b is not None and b.requires_grad:
+                b._accum(_unbroadcast(g, (cout, 1, 1)).astype(b.dtype, copy=False).reshape(cout))
+
+        out._backward = bwd
+    return out
 
 
 def grad_check(f, x, eps=1e-5, indices=None):

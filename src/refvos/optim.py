@@ -10,19 +10,37 @@ def module_of(name):
     return name.split(".", 1)[0]
 
 
+class _Group:
+    """The parameters of one learning-rate group and dtype, and their first
+    and second moments as flat arrays of that dtype, in the parameters'
+    order. The update runs in that dtype, so a float32 model stays float32
+    (a float64 gradient of a float32 parameter is cast)."""
+
+    def __init__(self, module, params):
+        self.module = module
+        self.params = params
+        size = sum(p.data.size for p in params)
+        self.m = np.zeros(size, dtype=params[0].data.dtype)
+        self.v = np.zeros_like(self.m)
+
+
 class AdamW:
     def __init__(self, params, lr_by_module, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=1e-4):
         """params: dict name -> Tensor (trainable only).
-        lr_by_module: dict group name -> learning rate."""
+        lr_by_module: dict group name -> learning rate; KeyError if a
+        parameter's group has none."""
         self.params = dict(params)
         self.lr_by_module = dict(lr_by_module)
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-        self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        groups = {}
+        for name, p in self.params.items():
+            self.learning_rate(name)
+            groups.setdefault((module_of(name), p.data.dtype), []).append(p)
+        self._groups = [_Group(module, ps) for (module, _), ps in groups.items()]
 
     def learning_rate(self, name):
         group = module_of(name)
@@ -31,17 +49,29 @@ class AdamW:
         return self.lr_by_module[group]
 
     def step(self):
+        """One update of every parameter, run over each group's parameters
+        at once: every expression is elementwise, so each number is computed
+        as by a per-parameter loop. Reads each `p.data` afresh and rebinds
+        it to a slice of the group's result."""
         self.t += 1
         b1, b2 = self.betas
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            lr = self.learning_rate(name)
-            m = self._m[name] = b1 * self._m[name] + (1 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1 - b2) * g * g
+        for group in self._groups:
+            ps, dtype = group.params, group.m.dtype
+            g = np.concatenate([np.zeros(p.data.size, dtype) if p.grad is None
+                                else p.grad.reshape(-1) for p in ps], dtype=dtype)
+            data = np.concatenate([p.data.reshape(-1) for p in ps], dtype=dtype)
+            lr = float(self.lr_by_module[group.module])
+            m = group.m = b1 * group.m + (1 - b1) * g
+            v = group.v = b2 * group.v + (1 - b2) * g * g
             update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.data = p.data - lr * (update + self.weight_decay * p.data)
+            new = data - lr * (update + self.weight_decay * data)
+            start = 0
+            for p in ps:
+                stop = start + p.data.size
+                p.data = new[start:stop].reshape(p.data.shape)
+                start = stop
 
     def zero_grad(self):
         for p in self.params.values():

@@ -1,5 +1,8 @@
 """Track-token propagation and the online segmentation / training loops."""
 
+import contextlib
+import gc
+
 import numpy as np
 
 from .autodiff import Tensor, bilinear_resize, layer_norm, linear, no_grad
@@ -37,8 +40,8 @@ def _next_track(model, out, detach=False):
 def select_mask(out, h, w):
     """The h x w binary mask of the decoder output with the highest quality
     score (the first on a tie): resized, then thresholded at 0."""
-    idx = int(np.argmax(out.iou_scores.data))
-    logits = bilinear_resize(out.masks[idx].reshape(1, *out.masks[idx].shape), h, w)
+    mask = out.masks[int(np.argmax(out.iou_scores.data))]
+    logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w)
     return (logits.data[0] > 0).astype(np.uint8)
 
 
@@ -91,8 +94,8 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
     for frame, gt in zip(frames, gt_masks):
         _, h, w = frame.shape
         out = _frame_forward(model, frame, sparse, track)
-        logits = bilinear_resize(out.masks[0].reshape(1, *out.masks[0].shape), h, w)
-        logits = logits.reshape(h, w)
+        mask = out.masks[0]
+        logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w).reshape(h, w)
         gt_arr = np.asarray(gt, dtype=float)
         d = dice_loss(logits.sigmoid(), gt_arr, loss_cfg)
         f = focal_loss(logits, gt_arr, loss_cfg)
@@ -110,9 +113,32 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
     return total, report, preds
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic collector inside the block; leaving it (also by an
+    exception) restores the state it found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def train_step(batch, model, optimizer, loss_cfg, detach_track=False):
     """One optimizer step over a batch of (frames, expression, gt_masks)
-    samples; frames within a sample must already be in temporal order."""
+    samples; frames within a sample must already be in temporal order.
+
+    Runs with the cyclic collector paused: a training graph is acyclic and
+    freed by reference counting, so a collection there would find nothing.
+    The graph is freed when `_step` returns, before the collector resumes,
+    so no collection is left due to scan it."""
+    with _collector_paused():
+        return _step(batch, model, optimizer, loss_cfg, detach_track)
+
+
+def _step(batch, model, optimizer, loss_cfg, detach_track):
     optimizer.zero_grad()
     total = None
     report = {"dice": 0.0, "focal": 0.0, "iou": 0.0, "total": 0.0}

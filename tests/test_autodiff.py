@@ -401,3 +401,124 @@ def test_fused_layer_norm_raises_when_its_variance_overflows():
             _layer_norm_composite(x, gamma, beta)
         with pytest.raises(NonFiniteError, match="layer_norm"):
             layer_norm(x, gamma, beta)
+
+
+def _conv1x1_composite(x, W, b=None):
+    *lead, cin, h, w = x.shape
+    y = linear(x.reshape(*lead, cin, h * w).mT, W, b)
+    return y.mT.reshape(*lead, W.shape[1], h, w)
+
+
+def _upscale_composite(x, W, b=None):
+    cin, h, w = x.shape
+    cout = W.shape[1]
+    y = linear(x.reshape(cin, h * w).transpose(1, 0), W.reshape(cin, cout * 4))
+    y = y.reshape(h, w, cout, 2, 2).transpose(2, 0, 3, 1, 4).reshape(cout, 2 * h, 2 * w)
+    return y if b is None else y + b.reshape(cout, 1, 1)
+
+
+def _run_twice(op, arrays, dtypes, seed):
+    """Forward and backward of op called twice on the same weights, as the
+    decoder is across training frames. Each call's input is also read by the
+    loss, before or after its output, which is read twice. The loss weights
+    are float64, so float64 gradients reach float32 tensors as in training."""
+    leaves = [Tensor(np.asarray(a, dtype=dt), requires_grad=True) for a, dt in zip(arrays, dtypes)]
+    rng = np.random.default_rng(seed)
+    total = None
+    for scale in (1.5, -0.5):
+        h = leaves[0] * scale
+        y = op(h, *leaves[1:])
+        for t in ((h, y, y) if scale > 0 else (y, h, y)):
+            term = (t * Tensor(rng.normal(size=t.shape))).sum()
+            total = term if total is None else total + term
+    total.backward()
+    return [y.data] + [t.grad for t in leaves]
+
+
+def _assert_twice_bitwise(fused, composite, arrays, x_dtype, w_dtype, seed):
+    dtypes = [x_dtype] + [w_dtype] * (len(arrays) - 1)
+    got = _run_twice(fused, arrays, dtypes, seed)
+    want = _run_twice(composite, arrays, dtypes, seed)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+# (input dtype, weight dtype): float64 activations meet float32 weights in a
+# float32 model, because float64 gradients and constants leak into its graph
+DTYPES = [(np.float64, np.float64), (np.float32, np.float32), (np.float64, np.float32)]
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", DTYPES)
+@pytest.mark.parametrize("x_shape", [(6, 3, 4), (2, 3, 6, 3, 4)])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_fused_conv1x1_is_bitwise_the_composite(x_dtype, w_dtype, x_shape, with_bias):
+    rng = np.random.default_rng(14)
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 6))]
+    if with_bias:
+        arrays.append(rng.normal(size=6))
+    _assert_bitwise(conv1x1, _conv1x1_composite, arrays)
+    arrays[1:] = [rng.normal(size=(6, 5))] + [rng.normal(size=5)] * with_bias
+    _assert_twice_bitwise(conv1x1, _conv1x1_composite, arrays, x_dtype, w_dtype, seed=1)
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", DTYPES)
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_fused_transposed_conv_upscale_is_bitwise_the_composite(x_dtype, w_dtype, with_bias):
+    rng = np.random.default_rng(15)
+    arrays = [rng.normal(size=(4, 3, 5)), rng.normal(size=(4, 3, 2, 2))]
+    if with_bias:
+        arrays.append(rng.normal(size=3))
+    _assert_twice_bitwise(transposed_conv_upscale, _upscale_composite, arrays,
+                          x_dtype, w_dtype, seed=2)
+
+
+def test_fused_layout_ops_pass_grad_check():
+    rng = np.random.default_rng(16)
+    W, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
+    Wt, bt = Tensor(rng.normal(size=(4, 3, 2, 2))), Tensor(rng.normal(size=3))
+    x3, x5 = Tensor(rng.normal(size=(4, 2, 3))), Tensor(rng.normal(size=(2, 4, 2, 3)))
+    c1, c2 = Tensor(rng.normal(size=(2, 3, 2, 3))), Tensor(rng.normal(size=(3, 4, 6)))
+    checks = [
+        (lambda x: (conv1x1(x.reshape(2, 4, 2, 3), W, b) * c1).sum(), 48),
+        (lambda x: (conv1x1(x.reshape(4, 2, 3), W) * c1[0]).sum(), 24),
+        (lambda w: (conv1x1(x5, w.reshape(4, 3), b) * c1).sum(), 12),
+        (lambda v: (conv1x1(x5, W, v) * c1).sum(), 3),
+        (lambda x: (transposed_conv_upscale(x.reshape(4, 2, 3), Wt, bt) * c2).sum(), 24),
+        (lambda x: (transposed_conv_upscale(x.reshape(4, 2, 3), Wt) * c2).sum(), 24),
+        (lambda w: (transposed_conv_upscale(x3, w.reshape(4, 3, 2, 2), bt) * c2).sum(), 48),
+        (lambda v: (transposed_conv_upscale(x3, Wt, v) * c2).sum(), 3),
+    ]
+    for f, size in checks:
+        assert grad_check(f, Tensor(rng.normal(size=size))) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_equals_the_expression_it_replaced(dtype):
+    from refvos.autodiff import _sigmoid
+    info = np.finfo(dtype)
+    edges = [0.0, info.smallest_subnormal, info.smallest_normal, 40.0, 745.0, info.max]
+    d = np.concatenate([np.array(edges + [-e for e in edges], dtype=dtype),
+                        np.linspace(-30.0, 30.0, 1001, dtype=dtype)])
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+        got = _sigmoid(d)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_backward_hands_out_the_split_parts(axis):
+    rng = np.random.default_rng(17)
+    shapes = [(2, 3, 4), (2, 3, 4), (2, 3, 4)]
+    for i, extent in enumerate((1, 2, 3)):
+        shapes[i] = tuple(extent if a == axis % 3 else n for a, n in enumerate(shapes[i]))
+    leaves = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    leaves[1].requires_grad = False
+    out = concat(leaves, axis=axis)
+    c = rng.normal(size=out.shape)
+    (out * Tensor(c)).sum().backward()
+    parts = np.split(c, np.cumsum([s[axis] for s in shapes])[:-1], axis=axis)
+    assert leaves[1].grad is None
+    for t, part in zip((leaves[0], leaves[2]), (parts[0], parts[2])):
+        assert t.grad.tobytes() == part.tobytes()

@@ -143,3 +143,65 @@ def test_select_mask_monotone_invariance():
     for transform in (lambda s: s ** 3, lambda s: 5 * s + 1, np.exp):
         out.iou_scores = Tensor(transform(scores))
         assert np.array_equal(select_mask(out, 8, 8), base)
+
+
+def eager_masks(out, params):
+    """The four hypernetwork heads computed at once, as decode did before
+    it computed each mask on demand."""
+    from refvos.autodiff import linear
+    tokens, up = out.masks._tokens, out.masks._up
+    c_up, h, w = up.shape
+    masks = []
+    for i in range(4):
+        pre = f"decoder.hyper{i}."
+        k = linear(tokens[1 + i], params[pre + "fc1.weight"], params[pre + "fc1.bias"]).relu()
+        k = linear(k, params[pre + "fc2.weight"], params[pre + "fc2.bias"]).relu()
+        k = linear(k, params[pre + "fc3.weight"], params[pre + "fc3.bias"])
+        masks.append((k.reshape(1, c_up) @ up.reshape(c_up, h * w)).reshape(h, w))
+    return masks
+
+
+def test_reading_mask_0_runs_no_other_hypernetwork(monkeypatch):
+    from refvos import autodiff
+    params = decoder_params(seed=6)
+    visual, sparse, dense = make_inputs(np.random.default_rng(6))
+    out = decode(visual, sparse, dense, None, params)
+    make, parents = autodiff._make, []
+
+    def recording_make(data, ps, op):
+        parents.extend(ps)
+        return make(data, ps, op)
+
+    monkeypatch.setattr(autodiff, "_make", recording_make)
+    assert out.masks[0] is out.masks[0] and out.masks[-4] is out.masks[0]
+    used = {id(p) for p in parents}
+    for name, p in params.items():
+        if name.startswith("decoder.hyper"):
+            assert (id(p) in used) == name.startswith("decoder.hyper0."), name
+
+
+def test_masks_read_on_demand_equal_eager_computation():
+    params = decoder_params(seed=7)
+    visual, sparse, dense = make_inputs(np.random.default_rng(7))
+    out = decode(visual, sparse, dense, Tensor(np.ones(C_V)), params)
+    late = [out.masks[i] for i in (3, 1)]
+    assert len(out.masks) == 4 and out.masks[1:4:2] == late[::-1]
+    for got, want in zip(list(out.masks), eager_masks(out, params)):
+        assert got.data.tobytes() == want.data.tobytes()
+    with pytest.raises(IndexError):
+        out.masks[4]
+
+
+def test_masks_record_a_graph_only_if_decode_did():
+    from refvos.autodiff import no_grad
+    params = decoder_params(seed=8)
+    visual, sparse, dense = make_inputs(np.random.default_rng(8))
+    with no_grad():
+        inert = decode(visual, sparse, dense, None, params)
+    live = decode(visual, sparse, dense, None, params)
+    with no_grad():
+        recorded = live.masks[2]
+    quiet = inert.masks[2]
+    assert recorded.requires_grad and recorded._backward is not None
+    assert not quiet.requires_grad and quiet._parents == ()
+    assert recorded.data.tobytes() == quiet.data.tobytes()
