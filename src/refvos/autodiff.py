@@ -26,6 +26,13 @@ input. Floating-point sums depend on their order, so every value and
 gradient stays bit-identical to the chain, and same-seed training runs stay
 byte-identical; a textbook analytic backward would change their last bits.
 
+An op computes in the dtype of its tensor inputs. Constants follow it: a
+Python number or array operand (`x * 2.0`), layer_norm's 1/n and eps and
+`bilinear_resize`'s interpolation matrices take the input's dtype. No op
+casts a gradient, so each has the dtype of the arithmetic that made it, and
+a graph whose leaves share one dtype computes every value and gradient in
+that dtype: a float32 model is float32 throughout.
+
 `Tensor.grad` arrays are not copied when stored: one array may be the
 gradient of several tensors, or a read-only broadcast view. Callers read
 them and never write to them in place; copy one before changing it.
@@ -98,10 +105,8 @@ def _unbroadcast(grad, shape):
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         _check_finite(arr, "leaf")
@@ -132,10 +137,7 @@ class Tensor:
         g = np.asarray(g)
         if g.shape != self.data.shape:
             g = _unbroadcast(g, self.data.shape).reshape(self.data.shape)
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
-        else:
-            self.grad = self.grad + g
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         if self.data.size != 1:
@@ -384,27 +386,22 @@ def linear(x, W, b=None):
     out = _make(y.reshape(y.shape[1:]) if squeeze else y,
                 (x, W) if b is None else (x, W, b), "linear")
     if out._parents:
-        y_shape, y_dtype, xw_dtype = y.shape, y.dtype, xw.dtype
+        y_shape = y.shape
 
         def bwd(g):
             # the composite's order: bias (the add), then x and W (the matmul)
             if squeeze:
-                g = g.reshape(y_shape).astype(y_dtype, copy=False)
+                g = g.reshape(y_shape)
             if b is not None:
                 b._accum(g)
-                g = g.astype(xw_dtype, copy=False)
             if x.requires_grad:
                 gx = np.matmul(g, W.data.swapaxes(-1, -2))
-                x._accum(gx.astype(x2.dtype, copy=False).reshape(x.shape) if squeeze else gx)
+                x._accum(gx.reshape(x.shape) if squeeze else gx)
             if W.requires_grad:
                 W._accum(np.matmul(x2.swapaxes(-1, -2), g))
 
         out._backward = bwd
     return out
-
-
-def relu(x):
-    return x.relu()
 
 
 def softmax(x, axis=-1):
@@ -421,8 +418,8 @@ def softmax(x, axis=-1):
     if out._parents:
         def bwd(g):
             # e * r, r = s ** -1, s = e.sum: e gets g * r, then the sum's share
-            gs = _unbroadcast(g * e, r.shape).astype(r.dtype, copy=False) * -1.0 * s ** -2.0
-            ge = (g * r).astype(e.dtype, copy=False) + gs
+            gs = _unbroadcast(g * e, r.shape) * -1.0 * s ** -2.0
+            ge = g * r + gs
             x._accum(ge * e)
 
         out._backward = bwd
@@ -445,18 +442,15 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     scaled = a * gamma.data
     out = _make(scaled + beta.data, (x, gamma, beta), "layer_norm")
     if out._parents:
-        scaled_dtype = scaled.dtype
-
         def bwd(g):
             # the composite ((xc * rs) * gamma) + beta, xc = x - mean(x),
             # rs = (mean(xc * xc) + eps) ** -0.5, in its reverse order
             beta._accum(g)
-            g = g.astype(scaled_dtype, copy=False)
             if gamma.requires_grad:
                 gamma._accum(g * a)
             if not x.requires_grad:
                 return
-            ga = (g * gamma.data).astype(a.dtype, copy=False)
+            ga = g * gamma.data
             grs = _unbroadcast(ga * xc, rs.shape)
             gsq = grs * -0.5 * ve ** -1.5 * inv_n
             gxc = ga * rs + gsq * xc + gsq * xc
@@ -484,18 +478,14 @@ def conv1x1(x, W, b=None):
     out = _make(y.transpose(swap).reshape(*lead, cout, h, w),
                 (x, W) if b is None else (x, W, b), "conv1x1")
     if out._parents:
-        y_dtype, xw_dtype = y.dtype, xw.dtype
-
         def bwd(g):
             # the chain's order: the reshape and .mT back, linear's bias,
-            # x and W, then .mT and the reshape back to x; every cast is one
-            # that storing the gradient of an intermediate tensor made
-            g = g.astype(y_dtype, copy=False).reshape(*lead, cout, h * w).transpose(swap)
+            # x and W, then .mT and the reshape back to x
+            g = g.reshape(*lead, cout, h * w).transpose(swap)
             if b is not None:
                 b._accum(g)
-                g = g.astype(xw_dtype, copy=False)
             if x.requires_grad:
-                gx = np.matmul(g, W.data.swapaxes(-1, -2)).astype(x.dtype, copy=False)
+                gx = np.matmul(g, W.data.swapaxes(-1, -2))
                 x._accum(gx.transpose(swap).reshape(x.shape))
             if W.requires_grad:
                 W._accum(np.matmul(x2.swapaxes(-1, -2), g))
@@ -553,23 +543,17 @@ def transposed_conv_upscale(x, W, b=None):
     out = _make(y if b is None else y + b.data.reshape(cout, 1, 1),
                 (x, W) if b is None else (x, W, b), "transposed_conv_upscale")
     if out._parents:
-        xw_dtype = xw.dtype
-
         def bwd(g):
             # the chain's order: the layout ops back to linear's output, its
-            # x and W, the reshapes back to x and W, then the bias; every
-            # cast is one that storing the gradient of an intermediate
-            # tensor made
-            gy = (g.astype(xw_dtype, copy=False).reshape(cout, h, 2, w, 2)
-                  .transpose(1, 3, 0, 2, 4).reshape(h * w, cout * 4))
+            # x and W, the reshapes back to x and W, then the bias
+            gy = g.reshape(cout, h, 2, w, 2).transpose(1, 3, 0, 2, 4).reshape(h * w, cout * 4)
             if x.requires_grad:
-                gx = np.matmul(gy, w2.swapaxes(-1, -2)).astype(x.dtype, copy=False)
+                gx = np.matmul(gy, w2.swapaxes(-1, -2))
                 x._accum(gx.transpose(1, 0).reshape(x.shape))
             if W.requires_grad:
-                gw = np.matmul(x2.swapaxes(-1, -2), gy).astype(W.dtype, copy=False)
-                W._accum(gw.reshape(W.shape))
+                W._accum(np.matmul(x2.swapaxes(-1, -2), gy).reshape(W.shape))
             if b is not None and b.requires_grad:
-                b._accum(_unbroadcast(g, (cout, 1, 1)).astype(b.dtype, copy=False).reshape(cout))
+                b._accum(_unbroadcast(g, (cout, 1, 1)).reshape(cout))
 
         out._backward = bwd
     return out

@@ -55,15 +55,16 @@ def decode(visual, sparse, dense, track, params, include_sentence_token=True):
     """Produce 4 mask logit maps (computed when read, see MaskHeads), their
     quality scores, and the post-decoder state of the main mask token.
 
-    visual: (C_v, H0, W0); dense: DenseEmbeddings or None; track: (C_v,)
-    Tensor or None. The dense map conditions the decoder additively.
+    visual: (C_v, H0, W0); sparse: the TextEmbeddings prompts; dense: a
+    (C_v, H0, W0) Tensor or None; track: (C_v,) Tensor or None. The dense
+    map conditions the decoder additively.
     """
     c_v, h0, w0 = visual.shape
     emb = visual
     if dense is not None:
-        if dense.map.shape != visual.shape:
+        if dense.shape != visual.shape:
             raise DimensionError("decode: dense map shape mismatch")
-        emb = emb + dense.map
+        emb = emb + dense
     emb = emb + Tensor(sinusoidal_grid(c_v, h0, w0, visual.dtype).T.reshape(c_v, h0, w0))
 
     parts = [params["decoder.token.iou"].reshape(1, c_v),

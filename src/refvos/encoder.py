@@ -40,8 +40,11 @@ class ReferringExpression:
 
 @dataclass
 class TextEmbeddings:
-    words: Tensor      # (L, C_e)
-    sentence: Tensor   # (C_e,)
+    """Word rows and their sentence row: the text's embeddings (width C_e),
+    or the sparse prompts that `fusion.cross_modal_project` maps them to
+    (width C_v)."""
+    words: Tensor      # (L, C)
+    sentence: Tensor   # (C,)
 
 
 @functools.lru_cache(maxsize=32)
@@ -145,6 +148,6 @@ def encode_text(expr, table):
     """Word rows of `table` (the text.table Tensor) for the hashed words of
     expr, and their mean."""
     rows = table.data[[_bucket(w, table.shape[0]) for w in expr.words]]
-    words = Tensor(rows.astype(np.float64))
+    words = Tensor(rows)
     return TextEmbeddings(words=words, sentence=pool_sentence(words))
 

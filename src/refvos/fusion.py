@@ -5,12 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DimensionError, Tensor, concat, conv1x1, linear, softmax
-
-
-@dataclass
-class SparseEmbeddings:
-    words: Tensor      # (L, C_v)
-    sentence: Tensor   # (C_v,)
+from .encoder import TextEmbeddings
 
 
 @dataclass
@@ -20,17 +15,9 @@ class DenseAttentionTrace:
     attended: Tensor   # (..., H0*W0, C_v)
 
 
-@dataclass
-class DenseEmbeddings:
-    map: Tensor        # (..., C_v, H0, W0)
-
-    def __getitem__(self, t):
-        """The dense map of frame t of a stack."""
-        return DenseEmbeddings(map=self.map[t])
-
-
 def cross_modal_project(text, params):
-    """Map word and sentence embeddings into the decoder's prompt space."""
+    """Map word and sentence embeddings into the decoder's prompt space:
+    the sparse prompts, a TextEmbeddings of width C_v."""
     if "cmm.proj.weight" in params:
         proj = lambda x: linear(x, params["cmm.proj.weight"], params["cmm.proj.bias"])
     else:
@@ -39,11 +26,12 @@ def cross_modal_project(text, params):
         proj = lambda x: linear(
             linear(x, params["cmm.fc1.weight"], params["cmm.fc1.bias"]).relu(),
             params["cmm.fc2.weight"], params["cmm.fc2.bias"])
-    return SparseEmbeddings(words=proj(text.words), sentence=proj(text.sentence))
+    return TextEmbeddings(words=proj(text.words), sentence=proj(text.sentence))
 
 
 def dense_attention(feat, sparse, params, prefix="hda.da0."):
-    """Pixel-to-token attention producing a dense conditioning map.
+    """Pixel-to-token attention producing a dense conditioning map;
+    returns the map, (..., C_v, H0, W0), and its DenseAttentionTrace.
 
     feat: (..., C_v, H0, W0), frames along the leading axes. Each pixel
     attends over [sentence; words] with scaled dot-product similarity, and
@@ -59,16 +47,14 @@ def dense_attention(feat, sparse, params, prefix="hda.da0."):
     attended = attn @ tokens                                                   # (..., HW, C_v)
     fused = concat([attended.mT.reshape(*lead, c_v, h0, w0), feat], axis=-3)
     dense = conv1x1(fused, params[prefix + "conv.weight"], params[prefix + "conv.bias"])
-    return (DenseEmbeddings(map=dense),
-            DenseAttentionTrace(tokens=tokens, attn=attn, attended=attended))
+    return dense, DenseAttentionTrace(tokens=tokens, attn=attn, attended=attended)
 
 
 def hierarchical_dense_attention(ff, sparse, params):
     """Sum of dense attention over the final map and the three mid maps."""
-    out, _ = dense_attention(ff.final, sparse, params, prefix="hda.da0.")
-    total = out.map
+    total, _ = dense_attention(ff.final, sparse, params, prefix="hda.da0.")
     for i, mid in enumerate(ff.mids, start=1):
         reduced = conv1x1(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
         branch, _ = dense_attention(reduced, sparse, params, prefix=f"hda.da{i}.")
-        total = total + branch.map
-    return DenseEmbeddings(map=total)
+        total = total + branch
+    return total

@@ -48,8 +48,9 @@ def _read_pnm(path, magic):
         if start == pos:
             raise ParseError("truncated header", start)
         token = raw[start:pos]
-        if not token.isdigit():
-            raise ParseError(f"bad header token {token!r}", start)
+        # int() refuses more than 4,300 digits; no image extent needs 19
+        if not token.isdigit() or len(token) > 18:
+            raise ParseError(f"bad header token {token[:20]!r}", start)
         fields.append(int(token))
     pos += 1  # single whitespace byte before payload
     w, h, maxval = fields

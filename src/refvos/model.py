@@ -143,8 +143,10 @@ def _entries(cfg):
         yield from _linear(f"decoder.hyper{i}.fc2", cv, cv)
         yield from _linear(f"decoder.hyper{i}.fc3", cv, cv // 4)
     yield from _linear("decoder.iou_head.fc1", cv, cv)
-    # zero weights + pessimistic bias: quality scores start low and only the
-    # supervised one moves, so selection never prefers an untrained mask
+    # zero weights + pessimistic bias: quality scores start at sigmoid(-2) ~
+    # 0.119. Only column 0 is supervised; columns 1-3 never get a gradient
+    # and keep that score, so select_mask's argmax picks an untrained mask
+    # whenever mask 0 scores lower (open; see ROADMAP items 1 and 2)
     yield "decoder.iou_head.fc2.weight", (cv, 4), 0.0
     yield "decoder.iou_head.fc2.bias", (4,), -2.0
 

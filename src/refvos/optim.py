@@ -11,10 +11,10 @@ def module_of(name):
 
 
 class _Group:
-    """The parameters of one learning-rate group and dtype, and their first
-    and second moments as flat arrays of that dtype, in the parameters'
-    order. The update runs in that dtype, so a float32 model stays float32
-    (a float64 gradient of a float32 parameter is cast)."""
+    """The parameters of one learning-rate group, and their first and second
+    moments as flat arrays in the parameters' order. The arrays and the
+    update take the first parameter's dtype, the model's one dtype; a
+    gradient of another dtype is cast to it."""
 
     def __init__(self, module, params):
         self.module = module
@@ -39,8 +39,8 @@ class AdamW:
         groups = {}
         for name, p in self.params.items():
             self.learning_rate(name)
-            groups.setdefault((module_of(name), p.data.dtype), []).append(p)
-        self._groups = [_Group(module, ps) for (module, _), ps in groups.items()]
+            groups.setdefault(module_of(name), []).append(p)
+        self._groups = [_Group(module, ps) for module, ps in groups.items()]
 
     def learning_rate(self, name):
         group = module_of(name)

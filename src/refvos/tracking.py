@@ -84,13 +84,12 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
     token propagated across frames: differentiated through, unless
     detach_track cuts the gradient between frames.
 
-    Returns (loss Tensor, report dict, list of predicted binary masks)."""
+    Returns (loss Tensor, report dict)."""
     text = model.encode_text(expr)
     sparse = model.sparse_embeddings(text)
     track = None
     total = None
     report = {"dice": 0.0, "focal": 0.0, "iou": 0.0}
-    preds = []
     for frame, gt in zip(frames, gt_masks):
         _, h, w = frame.shape
         out = _frame_forward(model, frame, sparse, track)
@@ -100,7 +99,6 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
         d = dice_loss(logits.sigmoid(), gt_arr, loss_cfg)
         f = focal_loss(logits, gt_arr, loss_cfg)
         pred_bin = (logits.data > 0).astype(np.uint8)
-        preds.append(pred_bin)
         target_iou = region_similarity_J(pred_bin, gt_arr > 0)
         iou_term = (out.iou_scores[0] - target_iou) ** 2.0
         frame_loss = loss_cfg.w_dice * d + loss_cfg.w_focal * f + iou_term.sum()
@@ -110,7 +108,7 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
         report["iou"] += float(iou_term.data)
         track = _next_track(model, out, detach_track)
     report["total"] = float(total.data)
-    return total, report, preds
+    return total, report
 
 
 @contextlib.contextmanager
@@ -145,7 +143,7 @@ def _step(batch, model, optimizer, loss_cfg, detach_track):
     for frames, expr, gts in batch:
         if len(frames) != len(gts):
             raise ValueError("train_step: each frame needs a ground-truth mask")
-        loss, rep, _ = clip_loss(model, frames, expr, gts, loss_cfg, detach_track)
+        loss, rep = clip_loss(model, frames, expr, gts, loss_cfg, detach_track)
         total = loss if total is None else total + loss
         for k in report:
             report[k] += rep[k]

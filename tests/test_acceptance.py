@@ -16,9 +16,8 @@ import numpy as np
 from refvos.autodiff import Tensor, conv1x1
 from refvos.data import SyntheticSpec, generate_clip, VideoClip
 from refvos.decoder import decode
-from refvos.encoder import encode_frame
-from refvos.fusion import (SparseEmbeddings, dense_attention,
-                           hierarchical_dense_attention)
+from refvos.encoder import TextEmbeddings, encode_frame
+from refvos.fusion import dense_attention, hierarchical_dense_attention
 from refvos.losses import LossConfig
 from refvos.metrics import (aggregate, boundary_pixels, contour_accuracy_F,
                             evaluate_sequence, region_similarity_J)
@@ -54,8 +53,8 @@ def _hda_params(rng, c_v, c_mid):
 
 
 def _make_sparse(rng, length, c_v):
-    return SparseEmbeddings(words=Tensor(rng.normal(size=(length, c_v))),
-                            sentence=Tensor(rng.normal(size=c_v)))
+    return TextEmbeddings(words=Tensor(rng.normal(size=(length, c_v))),
+                          sentence=Tensor(rng.normal(size=c_v)))
 
 
 # 1 -------------------------------------------------------------------------
@@ -78,7 +77,7 @@ def test_acceptance_1_gradient_integrity():
     # so the probe below checks the frozen ones too
     for p in model.params.values():
         p.requires_grad = True
-    loss, _, _ = clip_loss(model, clip.frames, expr, gts, cfg)
+    loss, _ = clip_loss(model, clip.frames, expr, gts, cfg)
     for p in model.params.values():
         p.grad = None
     loss.backward()
@@ -144,7 +143,7 @@ def test_acceptance_2_dense_attention_oracle():
                                           sparse.words.data,
                                           params["hda.da0.conv.weight"].data,
                                           params["hda.da0.conv.bias"].data)
-        worst = max(worst, float(np.abs(out.map.data - expect).max()),
+        worst = max(worst, float(np.abs(out.data - expect).max()),
                     float(np.abs(trace.attn.data - attn).max()))
     _report(2, f"dense attention vs brute force (max dev {worst:.2e})", worst <= 1e-9)
 
@@ -183,13 +182,13 @@ def test_acceptance_4_hda_decomposition():
                            mids=[Tensor(rng.normal(size=(c_mid, 3, 3)))
                                  for _ in range(3)])
         total = hierarchical_dense_attention(ff, sparse, params)
-        acc = dense_attention(ff.final, sparse, params, prefix="hda.da0.")[0].map.data
+        acc = dense_attention(ff.final, sparse, params, prefix="hda.da0.")[0].data
         for i, mid in enumerate(ff.mids, start=1):
             red = conv1x1(mid, params[f"hda.reduce{i}.weight"],
                           params[f"hda.reduce{i}.bias"])
             acc = acc + dense_attention(red, sparse, params,
-                                        prefix=f"hda.da{i}.")[0].map.data
-        ok = ok and np.array_equal(total.map.data, acc)
+                                        prefix=f"hda.da{i}.")[0].data
+        ok = ok and np.array_equal(total.data, acc)
     _report(4, "hierarchical attention equals sum of branches", ok)
 
 
@@ -238,8 +237,7 @@ def test_acceptance_6_zero_init_transparency():
     params = model.params
     visual = Tensor(rng.normal(size=(32, 4, 4)))
     sparse = _make_sparse(rng, 2, 32)
-    from refvos.fusion import DenseEmbeddings
-    zero = DenseEmbeddings(map=Tensor(np.zeros((32, 4, 4))))
+    zero = Tensor(np.zeros((32, 4, 4)))
     a = decode(visual, sparse, zero, None, params)
     b = decode(visual, sparse, None, None, params)
     dec_ok = all(np.array_equal(x.data, y.data) for x, y in zip(a.masks, b.masks)) \

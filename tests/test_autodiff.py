@@ -421,7 +421,8 @@ def _run_twice(op, arrays, dtypes, seed):
     """Forward and backward of op called twice on the same weights, as the
     decoder is across training frames. Each call's input is also read by the
     loss, before or after its output, which is read twice. The loss weights
-    are float64, so float64 gradients reach float32 tensors as in training."""
+    take the input's dtype, so a graph whose leaves share one dtype is
+    wholly of that dtype."""
     leaves = [Tensor(np.asarray(a, dtype=dt), requires_grad=True) for a, dt in zip(arrays, dtypes)]
     rng = np.random.default_rng(seed)
     total = None
@@ -429,7 +430,7 @@ def _run_twice(op, arrays, dtypes, seed):
         h = leaves[0] * scale
         y = op(h, *leaves[1:])
         for t in ((h, y, y) if scale > 0 else (y, h, y)):
-            term = (t * Tensor(rng.normal(size=t.shape))).sum()
+            term = (t * Tensor(rng.normal(size=t.shape).astype(dtypes[0]))).sum()
             total = term if total is None else total + term
     total.backward()
     return [y.data] + [t.grad for t in leaves]
@@ -442,10 +443,12 @@ def _assert_twice_bitwise(fused, composite, arrays, x_dtype, w_dtype, seed):
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+        if x_dtype == w_dtype:
+            assert g.dtype == x_dtype
 
 
-# (input dtype, weight dtype): float64 activations meet float32 weights in a
-# float32 model, because float64 gradients and constants leak into its graph
+# (input dtype, weight dtype): a float64 and a float32 graph, and a mixed one,
+# in which the fused op and its composite must promote alike
 DTYPES = [(np.float64, np.float64), (np.float32, np.float32), (np.float64, np.float32)]
 
 

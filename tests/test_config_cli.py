@@ -1,12 +1,15 @@
 import filecmp
 import os
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refvos.cli import (EXIT_BAD_CHECKPOINT, EXIT_FAILURE, EXIT_OK,
                         EXIT_SHAPE_MISMATCH, main)
-from refvos.config import load_config, parse_config
+from refvos.config import RunConfig, load_config, parse_config
 from refvos.encoder import ConfigurationError
 from refvos.io import save_checkpoint, write_pgm, write_ppm
 from refvos.model import Model, ModelConfig
@@ -84,6 +87,52 @@ def test_parse_rejects_bad_lines():
         with pytest.raises(ConfigurationError, match=f"line 2: bad value for '{key}': "
                                                      f"{key} must be finite, got {bad}"):
             parse_config(f"train.seed = 1\n{key} = {bad}\n")
+
+
+def _default_lines():
+    """One 'section.key = value' line per key of every section, each holding
+    its default."""
+    cfg, lines = RunConfig(), []
+    for section in dataclasses.fields(cfg):
+        values = getattr(cfg, section.name)
+        for f in dataclasses.fields(values):
+            value = getattr(values, f.name)
+            text = str(value).lower() if isinstance(value, bool) else value
+            lines.append(f"{section.name}.{f.name} = {text}")
+    return lines
+
+
+EVERY_KEY = _default_lines()
+ODD_VALUES = ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", "1__0", "", "0", "-1", "1.5",
+              "1e3", "0x10", "true", "True", "=", ".", "==1", "1.", ".5", "9" * 5000]
+
+
+def _retyped(lines, index, value):
+    key = lines[index].split("=", 1)[0]
+    return lines[:index] + [f"{key}= {value}"] + lines[index + 1:]
+
+
+def _inserted(text, offset, chars):
+    return text[:offset] + chars + text[offset:]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_config_text_parses_or_raises_configuration_error(data):
+    base = "\n".join(EVERY_KEY) + "\n"
+    text = data.draw(st.one_of(
+        st.tuples(st.integers(0, len(EVERY_KEY) - 1),
+                  st.one_of(st.sampled_from(ODD_VALUES),
+                            st.text("0123456789.-+e_=n ", max_size=12)))
+        .map(lambda edit: "\n".join(_retyped(EVERY_KEY, *edit)) + "\n"),
+        st.integers(0, len(base) - 1).map(lambda n: base[:n]),
+        st.tuples(st.integers(0, len(base)), st.sampled_from(["=", ".", "==", "..", " = ", "\n"]))
+        .map(lambda edit: _inserted(base, *edit))))
+    try:
+        cfg = parse_config(text)
+    except ConfigurationError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 @pytest.mark.parametrize("key", ["patch_size", "vocab_size"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refvos.data import (COLORS, MOTIONS, SHAPES, SyntheticSpec, generate_clip,
                          list_clips, read_clip, write_clip, write_dataset)
@@ -233,6 +234,53 @@ def test_pgm_bad_header_offset_zero(tmp_path):
     path.write_bytes(b"JUNKDATA")
     with pytest.raises(ParseError, match="offset 0"):
         read_pgm(path)
+
+
+@pytest.fixture(scope="module")
+def pnm_files(tmp_path_factory):
+    """A PGM and a PPM: each file's path, reader, written bytes and header
+    length."""
+    folder = tmp_path_factory.mktemp("pnm")
+    rng = np.random.default_rng(6)
+    pgm, ppm = folder / "m.pgm", folder / "f.ppm"
+    write_pgm(pgm, (rng.random((5, 7)) > 0.5).astype(np.uint8))
+    write_ppm(ppm, rng.random((3, 4, 6)))
+    return [(pgm, read_pgm, pgm.read_bytes(), len(b"P5\n7 5\n255\n")),
+            (ppm, read_ppm, ppm.read_bytes(), len(b"P6\n6 4\n255\n"))]
+
+
+def _spliced(raw, offset, chars):
+    return raw[:offset] + chars + raw[offset:]
+
+
+def _overwritten(raw, edits):
+    out = bytearray(raw)
+    for offset, value in edits:
+        out[offset] = value
+    return bytes(out)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_pnm_bytes_read_or_raise_parse_error(pnm_files, data):
+    path, read, raw, header = data.draw(st.sampled_from(pnm_files))
+    byte = st.one_of(st.sampled_from(b"0123456789 \t\n\r-#P56"), st.integers(0, 255))
+    # digit runs, whitespace or a sign; int() refuses more than 4,300 digits
+    run = st.one_of(st.text("0123456789", min_size=1, max_size=24),
+                    st.text(" \t\n\r\x0b\x0c", min_size=1), st.just("-"),
+                    st.sampled_from([19, 4301]).map(lambda n: "7" * n))
+    blob = data.draw(st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.lists(st.tuples(st.integers(0, header - 1), byte), min_size=1, max_size=3)
+        .map(lambda edits: _overwritten(raw, edits)),
+        st.tuples(st.integers(0, header), run.map(str.encode))
+        .map(lambda edit: _spliced(raw, *edit))))
+    path.write_bytes(blob)
+    try:
+        image = read(path)
+    except ParseError:
+        return
+    assert isinstance(image, np.ndarray)
 
 
 def test_ppm_round_trip(tmp_path):

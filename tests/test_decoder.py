@@ -3,7 +3,7 @@ import pytest
 
 from refvos.autodiff import DimensionError, Tensor, bilinear_resize, grad_check
 from refvos.decoder import DecoderOutput, decode
-from refvos.fusion import DenseEmbeddings, SparseEmbeddings
+from refvos.encoder import TextEmbeddings
 from refvos.losses import LossConfig, dice_loss
 from refvos.model import Model, ModelConfig
 from refvos.tracking import select_mask
@@ -21,9 +21,9 @@ def decoder_params(seed, c_v=C_V):
 
 def make_inputs(rng, c_v=C_V, h0=4, w0=4, length=2):
     visual = Tensor(rng.normal(size=(c_v, h0, w0)))
-    sparse = SparseEmbeddings(words=Tensor(rng.normal(size=(length, c_v))),
-                              sentence=Tensor(rng.normal(size=c_v)))
-    dense = DenseEmbeddings(map=Tensor(rng.normal(size=(c_v, h0, w0))))
+    sparse = TextEmbeddings(words=Tensor(rng.normal(size=(length, c_v))),
+                            sentence=Tensor(rng.normal(size=c_v)))
+    dense = Tensor(rng.normal(size=(c_v, h0, w0)))
     return visual, sparse, dense
 
 
@@ -61,7 +61,7 @@ def test_zero_dense_equals_no_dense():
     rng = np.random.default_rng(4)
     params = decoder_params(seed=4)
     visual, sparse, _ = make_inputs(rng)
-    zero = DenseEmbeddings(map=Tensor(np.zeros((C_V, 4, 4))))
+    zero = Tensor(np.zeros((C_V, 4, 4)))
     a = decode(visual, sparse, zero, None, params)
     b = decode(visual, sparse, None, None, params)
     for ma, mb in zip(a.masks, b.masks):

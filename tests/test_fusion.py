@@ -3,8 +3,8 @@ import pytest
 
 from refvos.autodiff import DimensionError, Tensor, grad_check
 from refvos.encoder import FrameFeatures, TextEmbeddings
-from refvos.fusion import (SparseEmbeddings, cross_modal_project,
-                           dense_attention, hierarchical_dense_attention)
+from refvos.fusion import (cross_modal_project, dense_attention,
+                           hierarchical_dense_attention)
 from refvos.model import Model, ModelConfig
 
 
@@ -34,8 +34,8 @@ def hda_params(rng, c_v, c_mid):
 
 
 def make_sparse(rng, length, c_v):
-    return SparseEmbeddings(words=Tensor(rng.normal(size=(length, c_v))),
-                            sentence=Tensor(rng.normal(size=c_v)))
+    return TextEmbeddings(words=Tensor(rng.normal(size=(length, c_v))),
+                          sentence=Tensor(rng.normal(size=c_v)))
 
 
 def brute_force_dense(feat, sentence, words, W, b):
@@ -102,7 +102,7 @@ def test_dense_attention_symmetric_single_pixel():
     rng = np.random.default_rng(4)
     c_v = 4
     vec = rng.normal(size=c_v)
-    sparse = SparseEmbeddings(words=Tensor(vec[None]), sentence=Tensor(vec.copy()))
+    sparse = TextEmbeddings(words=Tensor(vec[None]), sentence=Tensor(vec.copy()))
     params = hda_params(rng, c_v, c_v)
     _, trace = dense_attention(Tensor(rng.normal(size=(c_v, 1, 1))), sparse, params)
     assert np.allclose(trace.attn.data, [[0.5, 0.5]])
@@ -143,7 +143,7 @@ def test_dense_attention_matches_brute_force():
         expect, attn = brute_force_dense(feat, sparse.sentence.data, sparse.words.data,
                                          params["hda.da0.conv.weight"].data,
                                          params["hda.da0.conv.bias"].data)
-        assert np.allclose(out.map.data, expect, atol=1e-9)
+        assert np.allclose(out.data, expect, atol=1e-9)
         assert np.allclose(trace.attn.data, attn, atol=1e-9)
 
 
@@ -161,13 +161,13 @@ def test_word_permutation_permutes_attention_columns():
     sparse = make_sparse(rng, 3, c_v)
     feat = Tensor(rng.normal(size=(c_v, 2, 3)))
     perm = [2, 0, 1]
-    permuted = SparseEmbeddings(words=Tensor(sparse.words.data[perm]),
-                                sentence=Tensor(sparse.sentence.data.copy()))
+    permuted = TextEmbeddings(words=Tensor(sparse.words.data[perm]),
+                              sentence=Tensor(sparse.sentence.data.copy()))
     out_a, tr_a = dense_attention(feat, sparse, params)
     out_b, tr_b = dense_attention(feat, permuted, params)
     assert np.allclose(tr_b.attn.data[:, 1:], tr_a.attn.data[:, 1:][:, perm])
     assert np.allclose(tr_b.attn.data[:, 0], tr_a.attn.data[:, 0])
-    assert np.allclose(out_b.map.data, out_a.map.data, atol=1e-12)
+    assert np.allclose(out_b.data, out_a.data, atol=1e-12)
 
 
 def test_hda_equals_sum_of_branches():
@@ -178,14 +178,14 @@ def test_hda_equals_sum_of_branches():
     ff = FrameFeatures(final=Tensor(rng.normal(size=(c_v, 3, 3))),
                        mids=[Tensor(rng.normal(size=(c_mid, 3, 3))) for _ in range(3)])
     total = hierarchical_dense_attention(ff, sparse, params)
-    assert total.map.shape == (c_v, 3, 3)
+    assert total.shape == (c_v, 3, 3)
 
     from refvos.autodiff import conv1x1
-    acc = dense_attention(ff.final, sparse, params, prefix="hda.da0.")[0].map.data
+    acc = dense_attention(ff.final, sparse, params, prefix="hda.da0.")[0].data
     for i, mid in enumerate(ff.mids, start=1):
         red = conv1x1(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
-        acc = acc + dense_attention(red, sparse, params, prefix=f"hda.da{i}.")[0].map.data
-    assert np.array_equal(total.map.data, acc)
+        acc = acc + dense_attention(red, sparse, params, prefix=f"hda.da{i}.")[0].data
+    assert np.array_equal(total.data, acc)
 
 
 def test_hda_stack_equals_per_frame_calls():
@@ -197,12 +197,12 @@ def test_hda_stack_equals_per_frame_calls():
                        mids=[Tensor(rng.normal(size=(frames, c_mid, 3, 2))) for _ in range(3)])
     total = hierarchical_dense_attention(ff, sparse, params)
     out, trace = dense_attention(ff.final, sparse, params)
-    assert total.map.shape == (frames, c_v, 3, 2)
+    assert total.shape == (frames, c_v, 3, 2)
     for t in range(frames):
-        assert np.array_equal(total[t].map.data,
-                              hierarchical_dense_attention(ff[t], sparse, params).map.data)
+        assert np.array_equal(total[t].data,
+                              hierarchical_dense_attention(ff[t], sparse, params).data)
         one, one_trace = dense_attention(ff.final[t], sparse, params)
-        assert np.array_equal(out[t].map.data, one.map.data)
+        assert np.array_equal(out[t].data, one.data)
         assert np.array_equal(trace.attn.data[t], one_trace.attn.data)
 
 
@@ -219,6 +219,6 @@ def test_grad_check_through_projection_and_attention():
                               sentence=x.reshape(2, c_e).mean(axis=0))
         sp = cross_modal_project(text, cmm)
         out, _ = dense_attention(Tensor(feat), sp, hda)
-        return out.map.sum()
+        return out.sum()
 
     assert grad_check(f, Tensor(words.reshape(-1))) < 1e-4

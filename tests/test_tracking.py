@@ -1,3 +1,4 @@
+import collections
 import gc
 
 import numpy as np
@@ -12,11 +13,11 @@ from refvos.tracking import (clip_loss, sample_training_frames, segment_clip,
                              track_update, train_step)
 
 
-def toy_model(seed=0, **kw):
+def toy_model(seed=0, dtype=np.float64, **kw):
     base = dict(patch_size=8, blocks=2, token_width=32, channels=32,
                 adapter_width=4, hidden=32, text_width=32)
     base.update(kw)
-    return Model(ModelConfig(**base), seed=seed)
+    return Model(ModelConfig(**base), seed=seed, dtype=dtype)
 
 
 def toy_clip(seed=3, frames=3):
@@ -185,7 +186,7 @@ def test_gradient_flows_across_frames_through_track():
     clip, expr, gts = toy_clip(frames=2)
     cfg = LossConfig()
 
-    loss, _, _ = clip_loss(model, clip.frames[:2], expr, gts[:2], cfg)
+    loss, _ = clip_loss(model, clip.frames[:2], expr, gts[:2], cfg)
     for p in model.params.values():
         p.grad = None
     loss.backward()
@@ -208,8 +209,8 @@ def test_gradient_flows_across_frames_through_track():
 def test_detach_track_blocks_cross_frame_gradient():
     model = toy_model()
     clip, expr, gts = toy_clip(frames=2)
-    loss, _, _ = clip_loss(model, clip.frames[:2], expr, gts[:2], LossConfig(),
-                           detach_track=True)
+    loss, _ = clip_loss(model, clip.frames[:2], expr, gts[:2], LossConfig(),
+                        detach_track=True)
     for p in model.params.values():
         p.grad = None
     loss.backward()
@@ -311,16 +312,18 @@ def test_train_step_pauses_the_collector_and_restores_its_state(enabled):
 
 
 def _count_ops(monkeypatch, run):
+    """The number of op outputs `run` makes, by dtype (a Counter)."""
     from refvos import autodiff
-    make, count = autodiff._make, [0]
+    make, count = autodiff._make, collections.Counter()
 
     def counting(data, parents, op):
-        count[0] += 1
+        count[data.dtype] += 1
         return make(data, parents, op)
 
-    monkeypatch.setattr(autodiff, "_make", counting)
-    run()
-    return count[0]
+    with monkeypatch.context() as m:
+        m.setattr(autodiff, "_make", counting)
+        run()
+    return count
 
 
 def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
@@ -331,6 +334,27 @@ def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
     opt = AdamW(model.trainable_params(), default_lrs())
     step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
     step()
-    assert _count_ops(monkeypatch, step) <= 800
+    assert _count_ops(monkeypatch, step).total() <= 800
     long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
-    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)) <= 140 * 24
+    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() <= 140 * 24
+
+
+@pytest.mark.parametrize("ablation", [
+    {}, {"itm": False}, {"hda": False}, {"hda": False, "da": False}, {"adapter": False},
+    {"cross_modal_mlp": False}, {"include_sentence_token": False}],
+    ids=lambda off: "-".join(f"no_{k}" for k in off) or "default")
+def test_a_float32_model_trains_and_segments_in_float32_alone(monkeypatch, ablation):
+    clip, expr, gts = toy_clip(frames=5)
+    totals = []
+    for dtype in (np.float64, np.float32):
+        model = toy_model(dtype=dtype, **ablation)
+        params = model.trainable_params().values()
+        opt = AdamW(model.trainable_params(), default_lrs())
+        step_ops = _count_ops(monkeypatch, lambda: train_step(
+            [(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig()))
+        clip_ops = _count_ops(monkeypatch, lambda: segment_clip(model, clip, expr))
+        assert set(step_ops) == set(clip_ops) == {np.dtype(dtype)}
+        assert {p.grad.dtype for p in params if p.grad is not None} == {np.dtype(dtype)}
+        assert {p.data.dtype for p in model.params.values()} == {np.dtype(dtype)}
+        totals.append((step_ops.total(), clip_ops.total()))
+    assert totals[0] == totals[1]
