@@ -39,9 +39,8 @@ them and never write to them in place; copy one before changing it.
 
 Inside a `with no_grad():` block ops record no parents and no closure, so
 inference keeps no graph alive; outputs are still checked for finiteness.
-`recording(enabled)` sets the state for a block and `is_recording()` reads
-it. Blocks nest, and leaving one (also by an exception) restores the
-recording state it found. The state is process-wide, not per thread.
+Blocks nest, and leaving one (also by an exception) restores the recording
+state it found. The state is process-wide, not per thread.
 """
 
 import contextlib
@@ -66,24 +65,14 @@ def _check_finite(data, op):
 
 
 @contextlib.contextmanager
-def recording(enabled):
-    """Record a graph for the ops run inside the block only if `enabled`."""
+def no_grad():
+    """Record no graph for the ops run inside the block."""
     global _recording
-    previous, _recording = _recording, enabled
+    previous, _recording = _recording, False
     try:
         yield
     finally:
         _recording = previous
-
-
-def no_grad():
-    """Record no graph for the ops run inside the block."""
-    return recording(False)
-
-
-def is_recording():
-    """Whether ops run now record a graph (False inside `no_grad`)."""
-    return _recording
 
 
 def _sigmoid(d):

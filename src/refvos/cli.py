@@ -9,7 +9,7 @@ import numpy as np
 from .autodiff import DimensionError, NonFiniteError
 from .config import load_config
 from .data import (GenerationError, VideoClip, clip_spec, generate_clip, list_clips,
-                   read_clip, write_dataset)
+                   read_clip, read_frames, write_dataset)
 from .encoder import ConfigurationError, ReferringExpression
 from .io import (CheckpointError, ParseError, from_8bit, load_checkpoint, read_pgm,
                  read_ppm, save_checkpoint, to_8bit, write_pgm, write_ppm)
@@ -104,9 +104,11 @@ def cmd_eval(args):
 
 def cmd_infer(args):
     model = model_from_checkpoint(load_checkpoint(args.checkpoint))
-    clip, expr, _ = read_clip(args.clip, with_masks=False)
     if args.expr:
+        clip = VideoClip(frames=read_frames(args.clip))
         expr = ReferringExpression(words=args.expr.lower().split())
+    else:
+        clip, expr, _ = read_clip(args.clip, with_masks=False)
     out_dir = args.out or os.path.join(args.clip, "predictions")
     os.makedirs(out_dir, exist_ok=True)
     masks = segment_clip(model, clip, expr)

@@ -127,10 +127,8 @@ def parse_config(text):
         ftypes = {f.name: f.type for f in fields(section)}
         if field_name not in ftypes:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        ftype = {"int": int, "float": float, "bool": bool, "str": str}.get(
-            ftypes[field_name], ftypes[field_name])
         try:
-            value = _convert(raw, ftype, key)
+            value = _convert(raw, ftypes[field_name], key)
         except ValueError as exc:   # also int() and float() on malformed numbers
             raise ConfigurationError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         setattr(section, field_name, value)

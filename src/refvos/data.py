@@ -143,9 +143,9 @@ def write_clip(clip_dir, clip, expr, masks):
         fh.write(" ".join(expr.words) + "\n")
 
 
-def read_clip(clip_dir, with_masks=True):
-    """(VideoClip, ReferringExpression, masks or None) of a clip directory;
-    DimensionError unless the frames, and masks if read, match one-to-one in size."""
+def read_frames(clip_dir):
+    """The frames of a clip directory; DimensionError unless there is at
+    least one and all have one size."""
     frames_dir = os.path.join(clip_dir, "frames")
     names = sorted(os.listdir(frames_dir))
     frames = [read_ppm(os.path.join(frames_dir, n)) for n in names]
@@ -154,9 +154,16 @@ def read_clip(clip_dir, with_masks=True):
     size = frames[0].shape[1:]
     if any(f.shape[1:] != size for f in frames):
         raise DimensionError(f"frames of clip {clip_dir} differ in size")
+    return frames
+
+
+def read_clip(clip_dir, with_masks=True):
+    """(VideoClip, ReferringExpression, masks or None) of a clip directory;
+    DimensionError unless the frames, and masks if read, match one-to-one in size."""
+    frames = read_frames(clip_dir)
+    size = frames[0].shape[1:]
     with open(os.path.join(clip_dir, "expression.txt"), encoding="utf-8") as fh:
-        words = fh.readline().split()
-    expr = ReferringExpression(words=words)
+        expr = ReferringExpression(words=fh.readline().split())
     masks = None
     if with_masks:
         masks_dir = os.path.join(clip_dir, "masks")
@@ -183,5 +190,9 @@ def write_dataset(root, spec, num_clips):
 
 
 def list_clips(root):
-    return sorted(os.path.join(root, d) for d in os.listdir(root)
+    """The clip folders under root, sorted; DimensionError if there are none."""
+    dirs = sorted(os.path.join(root, d) for d in os.listdir(root)
                   if os.path.isdir(os.path.join(root, d)))
+    if not dirs:
+        raise DimensionError(f"data directory {root} has no clip folders")
+    return dirs

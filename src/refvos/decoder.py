@@ -2,58 +2,38 @@
 output tokens and the fused image embedding, followed by 4x upscaling,
 per-token mask kernels, and a mask-quality head."""
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .autodiff import (DimensionError, Tensor, concat, is_recording, layer_norm,
-                       linear, recording, transposed_conv_upscale)
+from .autodiff import (DimensionError, Tensor, concat, layer_norm, linear,
+                       transposed_conv_upscale)
 from .encoder import attention, sinusoidal_grid
-
-N_MASKS = 4
 
 
 @dataclass
 class DecoderOutput:
-    masks: Sequence      # 4 x (4*H0, 4*W0) logit maps: main + 3 scales
-    iou_scores: Tensor   # (4,) in [0, 1]
+    tokens: Tensor       # output tokens: iou, main, 3 scales, then prompts
+    up: Tensor           # (C_v/4, 4*H0, 4*W0) upscaled image embedding
+    params: dict
+    iou_scores: Tensor   # (4,) in [0, 1]: main + 3 scales
     main_token_out: Tensor  # (C_v,)
 
-
-class MaskHeads(Sequence):
-    """The 4 mask logit maps of one `decode`. Hypernetwork i runs the first
-    time mask i is read, in the recording state `decode` ran in, and its map
-    is kept: training reads only mask 0, inference only the best-scored one."""
-
-    def __init__(self, tokens, up, params):
-        self._tokens, self._up, self._params = tokens, up, params
-        self._recording = is_recording()
-        self._maps = [None] * N_MASKS
-
-    def __len__(self):
-        return N_MASKS
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(N_MASKS)[i]]
-        i = range(N_MASKS)[i]
-        if self._maps[i] is None:
-            with recording(self._recording):
-                self._maps[i] = self._head(i)
-        return self._maps[i]
-
-    def _head(self, i):
-        params, up = self._params, self._up
+    def mask(self, i):
+        """The (4*H0, 4*W0) logit map of mask i (0 is the main one): runs
+        hypernetwork i when called, so training reads only mask 0 and
+        inference only the best-scored one."""
+        params, up = self.params, self.up
         c_up, h, w = up.shape
         pre = f"decoder.hyper{i}."
-        k = linear(self._tokens[1 + i], params[pre + "fc1.weight"], params[pre + "fc1.bias"]).relu()
+        k = linear(self.tokens[1 + i], params[pre + "fc1.weight"], params[pre + "fc1.bias"]).relu()
         k = linear(k, params[pre + "fc2.weight"], params[pre + "fc2.bias"]).relu()
         k = linear(k, params[pre + "fc3.weight"], params[pre + "fc3.bias"])
         return (k.reshape(1, c_up) @ up.reshape(c_up, h * w)).reshape(h, w)
 
 
 def decode(visual, sparse, dense, track, params, include_sentence_token=True):
-    """Produce 4 mask logit maps (computed when read, see MaskHeads), their
-    quality scores, and the post-decoder state of the main mask token.
+    """Produce the output tokens and upscaled embedding that give 4 mask
+    logit maps (see DecoderOutput.mask), their quality scores, and the
+    post-decoder state of the main mask token.
 
     visual: (C_v, H0, W0); sparse: the TextEmbeddings prompts; dense: a
     (C_v, H0, W0) Tensor or None; track: (C_v,) Tensor or None. The dense
@@ -97,5 +77,4 @@ def decode(visual, sparse, dense, track, params, include_sentence_token=True):
                  params["decoder.iou_head.fc1.bias"]).relu()
     iou = linear(iou, params["decoder.iou_head.fc2.weight"],
                  params["decoder.iou_head.fc2.bias"]).sigmoid()
-    return DecoderOutput(masks=MaskHeads(tokens, up, params), iou_scores=iou,
-                         main_token_out=tokens[1])
+    return DecoderOutput(tokens, up, params, iou_scores=iou, main_token_out=tokens[1])

@@ -40,7 +40,7 @@ def _next_track(model, out, detach=False):
 def select_mask(out, h, w):
     """The h x w binary mask of the decoder output with the highest quality
     score (the first on a tie): resized, then thresholded at 0."""
-    mask = out.masks[int(np.argmax(out.iou_scores.data))]
+    mask = out.mask(int(np.argmax(out.iou_scores.data)))
     logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w)
     return (logits.data[0] > 0).astype(np.uint8)
 
@@ -93,7 +93,7 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
     for frame, gt in zip(frames, gt_masks):
         _, h, w = frame.shape
         out = _frame_forward(model, frame, sparse, track)
-        mask = out.masks[0]
+        mask = out.mask(0)
         logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w).reshape(h, w)
         gt_arr = np.asarray(gt, dtype=float)
         d = dice_loss(logits.sigmoid(), gt_arr, loss_cfg)

@@ -240,7 +240,7 @@ def test_acceptance_6_zero_init_transparency():
     zero = Tensor(np.zeros((32, 4, 4)))
     a = decode(visual, sparse, zero, None, params)
     b = decode(visual, sparse, None, None, params)
-    dec_ok = all(np.array_equal(x.data, y.data) for x, y in zip(a.masks, b.masks)) \
+    dec_ok = all(np.array_equal(a.mask(i).data, b.mask(i).data) for i in range(4)) \
         and np.array_equal(a.iou_scores.data, b.iou_scores.data)
     _report(6, "zero-init adapters and zero dense map are transparent",
             enc_ok and dec_ok)
@@ -337,7 +337,7 @@ def test_acceptance_9_online_causality():
     out = model.decode(ff, sparse, model.dense_embeddings(ff, sparse), None)
     from refvos.autodiff import bilinear_resize
     idx = int(np.argmax(out.iou_scores.data))
-    logits = bilinear_resize(out.masks[idx].reshape(1, 32, 32), 64, 64)
+    logits = bilinear_resize(out.mask(idx).reshape(1, 32, 32), 64, 64)
     t1_ok = np.array_equal(one[0], (logits.data[0] > 0).astype(np.uint8))
     _report(9, "prefix replay bit-exact, single frame equals no-track decode",
             prefix_ok and t1_ok)

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import shutil
 
 import dataclasses
 
@@ -383,6 +384,42 @@ def test_malformed_clip_exits_4(tmp_path, capsys, damage, command):
     capsys.readouterr()
     assert main(argv) == EXIT_SHAPE_MISMATCH
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["eval-checkpoint", "eval-predictions", "train"])
+def test_data_directory_without_clip_folders_exits_4(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "notes.txt").write_text("a file is not a clip folder\n")
+    cfg = write_toy_config(tmp_path, steps=1, extra=f"data.root = {data}\n")
+    ckpt, out_ckpt = tmp_path / "m.ckpt", tmp_path / "out.ckpt"
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    argv = {"eval-checkpoint": ["eval", "--config", cfg, "--checkpoint", str(ckpt),
+                                "--data", str(data)],
+            "eval-predictions": ["eval", "--config", cfg, "--data", str(data),
+                                 "--predictions", str(tmp_path / "preds")],
+            "train": ["train", "--config", cfg, "--out-checkpoint", str(out_ckpt)]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_SHAPE_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: data directory {data} has no clip folders\n"
+    assert not out_ckpt.exists()
+
+
+def test_infer_expr_needs_only_the_frames_folder(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path, steps=1)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    main(["generate", "--config", cfg, "--out", str(data)])
+    main(["train", "--config", cfg, "--out-checkpoint", str(ckpt)])
+    frames_only = tmp_path / "frames_only"
+    shutil.copytree(data / "clip0000" / "frames", frames_only / "frames")
+    for clip, out in ((frames_only, "a"), (data / "clip0000", "b")):
+        assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(clip),
+                     "--expr", "the red square", "--out", str(tmp_path / out)]) == EXIT_OK
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == [f"{t:05d}.pgm" for t in range(3)]
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    assert all(filecmp.cmp(tmp_path / "a" / n, tmp_path / "b" / n, shallow=False) for n in names)
 
 
 def test_overlay_writes_frames(tmp_path, capsys):

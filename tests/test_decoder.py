@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from refvos.autodiff import DimensionError, Tensor, bilinear_resize, grad_check
-from refvos.decoder import DecoderOutput, decode
+from refvos.decoder import decode
 from refvos.encoder import TextEmbeddings
 from refvos.losses import LossConfig, dice_loss
 from refvos.model import Model, ModelConfig
@@ -32,8 +34,7 @@ def test_decode_shapes():
     params = decoder_params(seed=0)
     visual, sparse, dense = make_inputs(rng, h0=8, w0=8)
     out = decode(visual, sparse, dense, None, params)
-    assert len(out.masks) == 4
-    assert all(m.shape == (32, 32) for m in out.masks)
+    assert all(out.mask(i).shape == (32, 32) for i in range(4))
     assert out.iou_scores.shape == (4,)
     assert np.all((out.iou_scores.data >= 0) & (out.iou_scores.data <= 1))
     assert out.main_token_out.shape == (C_V,)
@@ -44,8 +45,8 @@ def test_decode_deterministic():
     visual, sparse, dense = make_inputs(np.random.default_rng(2))
     a = decode(visual, sparse, dense, None, params)
     b = decode(visual, sparse, dense, None, params)
-    for ma, mb in zip(a.masks, b.masks):
-        assert np.array_equal(ma.data, mb.data)
+    for i in range(4):
+        assert np.array_equal(a.mask(i).data, b.mask(i).data)
     assert np.array_equal(a.iou_scores.data, b.iou_scores.data)
 
 
@@ -64,8 +65,8 @@ def test_zero_dense_equals_no_dense():
     zero = Tensor(np.zeros((C_V, 4, 4)))
     a = decode(visual, sparse, zero, None, params)
     b = decode(visual, sparse, None, None, params)
-    for ma, mb in zip(a.masks, b.masks):
-        assert np.array_equal(ma.data, mb.data)
+    for i in range(4):
+        assert np.array_equal(a.mask(i).data, b.mask(i).data)
     assert np.array_equal(a.iou_scores.data, b.iou_scores.data)
 
 
@@ -80,8 +81,8 @@ def test_zero_track_with_zero_value_projections_is_transparent():
     visual, sparse, dense = make_inputs(rng)
     absent = decode(visual, sparse, dense, None, params)
     present = decode(visual, sparse, dense, Tensor(np.zeros(C_V)), params)
-    for ma, mb in zip(absent.masks, present.masks):
-        assert np.array_equal(ma.data, mb.data)
+    for i in range(4):
+        assert np.array_equal(absent.mask(i).data, present.mask(i).data)
     assert np.array_equal(absent.iou_scores.data, present.iou_scores.data)
 
 
@@ -90,7 +91,7 @@ def test_decode_golden_regression():
     visual, sparse, dense = make_inputs(np.random.default_rng(7))
     out = decode(visual, sparse, dense, None, params)
     # frozen from the first verified run of this configuration
-    assert abs(float(np.abs(out.masks[0].data).sum()) - GOLDEN_MAIN_ABS) < 1e-8
+    assert abs(float(np.abs(out.mask(0).data).sum()) - GOLDEN_MAIN_ABS) < 1e-8
 
 
 GOLDEN_MAIN_ABS = 381.85760045982795
@@ -108,7 +109,7 @@ def test_grad_check_decode_to_dice():
     def f(x):
         params["decoder.hyper0.fc3.weight"] = x
         out = decode(visual, sparse, dense, None, params)
-        return dice_loss(out.masks[0].sigmoid(), target, cfg)
+        return dice_loss(out.mask(0).sigmoid(), target, cfg)
 
     try:
         assert grad_check(f, Tensor(probe.data.copy())) < 1e-4
@@ -120,11 +121,15 @@ def resized(mask, h, w):
     return (bilinear_resize(mask.reshape(1, *mask.shape), h, w).data[0] > 0).astype(np.uint8)
 
 
+def fake_output(masks, iou_scores):
+    """A stand-in for a decoder output with the given mask maps and scores."""
+    return SimpleNamespace(mask=masks.__getitem__, iou_scores=iou_scores)
+
+
 def test_select_mask_argmax_and_tie():
     rng = np.random.default_rng(9)
     masks = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
-    out = DecoderOutput(masks=masks, iou_scores=Tensor([0.9, 0.1, 0.1, 0.1]),
-                        main_token_out=Tensor(np.zeros(4)))
+    out = fake_output(masks, iou_scores=Tensor([0.9, 0.1, 0.1, 0.1]))
     assert np.array_equal(select_mask(out, 8, 8), resized(masks[0], 8, 8))
     out.iou_scores = Tensor([0.4, 0.4, 0.4, 0.4])
     assert np.array_equal(select_mask(out, 8, 8), resized(masks[0], 8, 8))
@@ -137,8 +142,7 @@ def test_select_mask_monotone_invariance():
     rng = np.random.default_rng(10)
     masks = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
     scores = np.array([0.2, 0.7, 0.5, 0.1])
-    out = DecoderOutput(masks=masks, iou_scores=Tensor(scores),
-                        main_token_out=Tensor(np.zeros(4)))
+    out = fake_output(masks, iou_scores=Tensor(scores))
     base = select_mask(out, 8, 8)
     for transform in (lambda s: s ** 3, lambda s: 5 * s + 1, np.exp):
         out.iou_scores = Tensor(transform(scores))
@@ -149,7 +153,7 @@ def eager_masks(out, params):
     """The four hypernetwork heads computed at once, as decode did before
     it computed each mask on demand."""
     from refvos.autodiff import linear
-    tokens, up = out.masks._tokens, out.masks._up
+    tokens, up = out.tokens, out.up
     c_up, h, w = up.shape
     masks = []
     for i in range(4):
@@ -173,7 +177,7 @@ def test_reading_mask_0_runs_no_other_hypernetwork(monkeypatch):
         return make(data, ps, op)
 
     monkeypatch.setattr(autodiff, "_make", recording_make)
-    assert out.masks[0] is out.masks[0] and out.masks[-4] is out.masks[0]
+    out.mask(0)
     used = {id(p) for p in parents}
     for name, p in params.items():
         if name.startswith("decoder.hyper"):
@@ -184,12 +188,8 @@ def test_masks_read_on_demand_equal_eager_computation():
     params = decoder_params(seed=7)
     visual, sparse, dense = make_inputs(np.random.default_rng(7))
     out = decode(visual, sparse, dense, Tensor(np.ones(C_V)), params)
-    late = [out.masks[i] for i in (3, 1)]
-    assert len(out.masks) == 4 and out.masks[1:4:2] == late[::-1]
-    for got, want in zip(list(out.masks), eager_masks(out, params)):
-        assert got.data.tobytes() == want.data.tobytes()
-    with pytest.raises(IndexError):
-        out.masks[4]
+    for i, want in enumerate(eager_masks(out, params)):
+        assert out.mask(i).data.tobytes() == want.data.tobytes()
 
 
 def test_masks_record_a_graph_only_if_decode_did():
@@ -197,11 +197,8 @@ def test_masks_record_a_graph_only_if_decode_did():
     params = decoder_params(seed=8)
     visual, sparse, dense = make_inputs(np.random.default_rng(8))
     with no_grad():
-        inert = decode(visual, sparse, dense, None, params)
-    live = decode(visual, sparse, dense, None, params)
-    with no_grad():
-        recorded = live.masks[2]
-    quiet = inert.masks[2]
+        quiet = decode(visual, sparse, dense, None, params).mask(2)
+    recorded = decode(visual, sparse, dense, None, params).mask(2)
     assert recorded.requires_grad and recorded._backward is not None
-    assert not quiet.requires_grad and quiet._parents == ()
+    assert not quiet.requires_grad and quiet._parents == () and quiet._backward is None
     assert recorded.data.tobytes() == quiet.data.tobytes()

@@ -70,7 +70,7 @@ def test_single_frame_clip_equals_no_track_decode():
     out = model.decode(ff, sparse, dense, None)
     from refvos.autodiff import bilinear_resize
     idx = int(np.argmax(out.iou_scores.data))
-    logits = bilinear_resize(out.masks[idx].reshape(1, 32, 32), 64, 64)
+    logits = bilinear_resize(out.mask(idx).reshape(1, 32, 32), 64, 64)
     assert np.array_equal(masks[0], (logits.data[0] > 0).astype(np.uint8))
 
 
@@ -121,7 +121,7 @@ def test_segment_clip_passes_equal_rank3_frame_loop(monkeypatch):
     for mask, out, (mask_ref, out_ref) in zip(masks, outs, expect, strict=True):
         assert np.array_equal(mask, mask_ref)
         assert np.array_equal(out.iou_scores.data, out_ref.iou_scores.data)
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(out.masks, out_ref.masks))
+        assert all(np.array_equal(out.mask(i).data, out_ref.mask(i).data) for i in range(4))
     prefix = segment_clip(model, VideoClip(frames=clip.frames[:10]), expr)
     assert all(np.array_equal(a, b) for a, b in zip(prefix, masks[:10], strict=True))
 
@@ -155,7 +155,7 @@ def test_track_changes_later_frames_with_nonzero_itm():
                              model.dense_embeddings(model.encode_frame(clip.frames[0]), sp),
                              None).main_token_out, model.params))
     out_n = model.decode(ff, sp, model.dense_embeddings(ff, sp), None)
-    assert not np.array_equal(out_t.masks[0].data, out_n.masks[0].data)
+    assert not np.array_equal(out_t.mask(0).data, out_n.mask(0).data)
 
 
 def test_train_step_respects_freezing():
