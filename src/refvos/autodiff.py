@@ -25,6 +25,15 @@ chain's order, including the two separate accumulations into a layer_norm
 input. Floating-point sums depend on their order, so every value and
 gradient stays bit-identical to the chain, and same-seed training runs stay
 byte-identical; a textbook analytic backward would change their last bits.
+`attention` fuses the query projection, the scaled scores, softmax, the
+weighted sum and the output projection; the key and value projections stay
+`linear` ops, so that a weight shared over frames gathers its gradients in
+the chain's order (see its docstring). It scans q, the shifted scores, the
+weighted sum and its output: a non-finite score makes the shifted scores
+non-finite, and finite shifted scores keep the weights in [0, 1], so the
+chain's scans of the scores and of softmax's output could not fire alone.
+`losses.dice_loss` and `losses.focal_loss` are fused ops of the same kind,
+made through this module's `_make`.
 
 An op computes in the dtype of its tensor inputs. Constants follow it: a
 Python number or array operand (`x * 2.0`), layer_norm's 1/n and eps and
@@ -91,6 +100,12 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _sum_to(grad, shape):
+    """`grad` summed down to `shape`, as `Tensor._accum` stores it."""
+    grad = np.asarray(grad)
+    return grad if grad.shape == shape else _unbroadcast(grad, shape).reshape(shape)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
@@ -123,9 +138,7 @@ class Tensor:
     def _accum(self, g):
         if not self.requires_grad:
             return
-        g = np.asarray(g)
-        if g.shape != self.data.shape:
-            g = _unbroadcast(g, self.data.shape).reshape(self.data.shape)
+        g = _sum_to(g, self.data.shape)
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
@@ -410,6 +423,77 @@ def softmax(x, axis=-1):
             gs = _unbroadcast(g * e, r.shape) * -1.0 * s ** -2.0
             ge = g * r + gs
             x._accum(ge * e)
+
+        out._backward = bwd
+    return out
+
+
+def attention(q_in, Wq, bq, k, v, Wo, bo):
+    """Single-head scaled dot-product attention of q_in over keys k and
+    values v, with the query and output projections, as one op: the chain
+    `linear(softmax(linear(q_in, Wq, bq) @ k.mT * (1 / sqrt(d)), -1) @ v,
+    Wo, bo)`, d the width of q_in. Ranks of 2 and more broadcast as matmul
+    does.
+
+    The parents are recorded as (q_in, Wq, bq, k, v, Wo, bo), so a backward
+    walk reaches v, then k, then q_in, as it does through the chain. k and v
+    stay ops of their own: in the chain, q_in's history runs backward before
+    the k and v projections do, and a leaf they share (the k/v weights of a
+    decoder reused over frames) must gather its gradients in that order.
+    """
+    xd, kd, vd = q_in.data, k.data, v.data
+    if xd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
+        raise DimensionError("matmul operands must have rank >= 2")
+    if xd.shape[-1] != Wq.shape[0]:
+        raise DimensionError(f"attention: query width {xd.shape[-1]} vs weight {Wq.shape[0]}")
+    if vd.shape[-1] != Wo.shape[0]:
+        raise DimensionError(f"attention: value width {vd.shape[-1]} vs weight {Wo.shape[0]}")
+    q = np.matmul(xd, Wq.data) + bq.data
+    _check_finite(q, "attention")
+    kt = kd.swapaxes(-1, -2)
+    qk = np.matmul(q, kt)
+    c = np.asarray(1.0 / np.sqrt(xd.shape[-1]), dtype=qk.dtype)
+    sc = qk * c
+    # softmax over keys; a non-finite score makes z non-finite, and a finite
+    # z bounds the weights to [0, 1], so z is the only scan it needs
+    z = sc + (-sc.max(axis=-1, keepdims=True))
+    _check_finite(z, "attention")
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    r = s ** -1.0
+    att = e * r
+    av = np.matmul(att, vd)
+    _check_finite(av, "attention")
+    out = _make(np.matmul(av, Wo.data) + bo.data, (q_in, Wq, bq, k, v, Wo, bo), "attention")
+    if out._parents:
+        q_grad = q_in.requires_grad or Wq.requires_grad or bq.requires_grad
+        att_grad = q_grad or k.requires_grad
+
+        def bwd(g):
+            # the chain's reverse order: the output linear (bias, input,
+            # weight), the weighted sum, softmax, the scale, the scores, the
+            # query linear, then the key transpose
+            bo._accum(g)
+            if att_grad or v.requires_grad:
+                gav = np.matmul(g, Wo.data.swapaxes(-1, -2))
+            if Wo.requires_grad:
+                Wo._accum(np.matmul(av.swapaxes(-1, -2), g))
+            if v.requires_grad:
+                v._accum(np.matmul(att.swapaxes(-1, -2), gav))
+            if not att_grad:
+                return
+            gatt = _sum_to(np.matmul(gav, vd.swapaxes(-1, -2)), att.shape)
+            gs = _unbroadcast(gatt * e, r.shape) * -1.0 * s ** -2.0
+            gqk = ((gatt * r + gs) * e) * c
+            if q_grad:
+                gq = _sum_to(np.matmul(gqk, kd), q.shape)
+                bq._accum(gq)
+                if q_in.requires_grad:
+                    q_in._accum(np.matmul(gq, Wq.data.swapaxes(-1, -2)))
+                if Wq.requires_grad:
+                    Wq._accum(np.matmul(xd.swapaxes(-1, -2), gq))
+            if k.requires_grad:
+                k._accum(_sum_to(np.matmul(q.swapaxes(-1, -2), gqk), kt.shape).swapaxes(-1, -2))
 
         out._backward = bwd
     return out

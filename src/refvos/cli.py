@@ -56,12 +56,15 @@ def cmd_train(args):
     for step in range(1, cfg.train.steps + 1):
         clip, expr, masks = clips[int(rng.integers(0, len(clips)))]
         frames, gts = sample_training_frames(clip.frames, masks, cfg.train.n_frames, rng)
-        report = train_step([(frames, expr, gts)], model, optimizer, loss_cfg,
-                            detach_track=cfg.train.detach_track)
-        print(f"step={step} dice={report['dice']:.6f} focal={report['focal']:.6f} "
-              f"iou={report['iou']:.6f} total={report['total']:.6f}")
-        if step % cfg.train.checkpoint_interval == 0 or step == cfg.train.steps:
-            save_checkpoint(args.out_checkpoint, model.checkpoint_arrays())
+        try:
+            report = train_step([(frames, expr, gts)], model, optimizer, loss_cfg,
+                                detach_track=cfg.train.detach_track)
+            print(f"step={step} dice={report['dice']:.6f} focal={report['focal']:.6f} "
+                  f"iou={report['iou']:.6f} total={report['total']:.6f}")
+            if step % cfg.train.checkpoint_interval == 0 or step == cfg.train.steps:
+                save_checkpoint(args.out_checkpoint, model.checkpoint_arrays())
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"step {step}: {exc}") from exc
     # validation from the written checkpoint and on the frames as PPM files
     # store them, so infer + eval on a generated dataset reproduce it
     model = model_from_checkpoint(load_checkpoint(args.out_checkpoint))

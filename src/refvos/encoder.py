@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, layer_norm, linear, softmax
+from .autodiff import DimensionError, Tensor, layer_norm, linear
+from .autodiff import attention as fused_attention
 
 
 class ConfigurationError(ValueError):
@@ -71,13 +72,12 @@ def adapter_forward(tokens, params, prefix):
 
 def attention(q_in, kv_in, params, prefix):
     """Single-head scaled dot-product attention of q_in over kv_in, with
-    the projections `<prefix>{wq,wk,wv,wo}.{weight,bias}`."""
-    d = q_in.shape[-1]
-    q = linear(q_in, params[prefix + "wq.weight"], params[prefix + "wq.bias"])
+    the projections `<prefix>{wq,wk,wv,wo}.{weight,bias}`: the key and value
+    projections are `linear` ops, the rest is one `autodiff.attention` op."""
     k = linear(kv_in, params[prefix + "wk.weight"], params[prefix + "wk.bias"])
     v = linear(kv_in, params[prefix + "wv.weight"], params[prefix + "wv.bias"])
-    att = softmax(q @ k.mT * (1.0 / np.sqrt(d)), axis=-1)
-    return linear(att @ v, params[prefix + "wo.weight"], params[prefix + "wo.bias"])
+    return fused_attention(q_in, params[prefix + "wq.weight"], params[prefix + "wq.bias"], k, v,
+                           params[prefix + "wo.weight"], params[prefix + "wo.bias"])
 
 
 def encode_frame(frame, cfg, params):

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 
+from .autodiff import NonFiniteError
+
 CHECKPOINT_MAGIC = b"REFSAM1\n"
 
 
@@ -101,13 +103,19 @@ def read_ppm(path):
 def save_checkpoint(path, arrays):
     """Record stream of named float32 arrays, sorted by name for
     reproducible bytes. Written to a temporary file beside `path` and
-    renamed over it, so `path` holds either its old or its new bytes."""
+    renamed over it, so `path` holds either its old or its new bytes.
+    Raises NonFiniteError, naming the record, on a value that is not finite
+    in float32 (a float64 beyond float32's range casts to inf), which
+    loading would reject; `path` then keeps its old bytes."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             for name in sorted(arrays):
-                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+                with np.errstate(over="ignore"):
+                    arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+                if not np.isfinite(arr).all():
+                    raise NonFiniteError(f"checkpoint record {name!r} is not finite in float32")
                 nb = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(nb)))
                 fh.write(nb)

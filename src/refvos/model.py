@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import Tensor
 from .decoder import decode
 from .encoder import ConfigurationError, encode_frame, encode_text
 from .fusion import (cross_modal_project, dense_attention,
@@ -181,7 +181,8 @@ def _draw(spec, rng):
 
 def _check_records(schema, arrays):
     """Raise CheckpointError unless the records of `arrays` other than
-    `config.*` are exactly the parameters of `schema`, each with its shape."""
+    `config.*` are exactly the parameters of `schema`, each with its shape
+    and finite."""
     names = set()
     for spec in schema:
         if spec.name not in arrays:
@@ -190,6 +191,8 @@ def _check_records(schema, arrays):
         if shape != spec.shape:
             raise CheckpointError(f"checkpoint shape mismatch for {spec.name!r}: "
                                   f"{shape} vs {spec.shape}")
+        if not np.isfinite(arrays[spec.name]).all():
+            raise CheckpointError(f"checkpoint parameter {spec.name!r} is not finite")
         names.add(spec.name)
     unknown = sorted(n for n in arrays if n not in names and not n.startswith(CONFIG_PREFIX))
     if unknown:
@@ -261,9 +264,9 @@ class Model:
     def load_state(self, arrays):
         """Load parameters from checkpoint arrays. `config.*` records, if
         present, must describe this model; every other record must be one of
-        its parameters, with its shape. All records are checked before any is
-        loaded; then each parameter is replaced in turn, so only one
-        parameter's old and new values are held at once."""
+        its parameters, with its shape and finite. All records are checked
+        before any is loaded; then each parameter is replaced in turn, so only
+        one parameter's old and new values are held at once."""
         if any(n.startswith(CONFIG_PREFIX) for n in arrays) and \
                 _config_from_arrays(arrays) != self.cfg:
             raise CheckpointError("checkpoint config records differ from the model's config")
@@ -303,8 +306,5 @@ def model_from_checkpoint(arrays, dtype=np.float64):
     cfg = _config_from_arrays(arrays)
     _check_records(param_schema(cfg), arrays)
     model = Model.__new__(Model)
-    try:
-        model._adopt(cfg, dtype, ((p.name, arrays[p.name]) for p in param_schema(cfg)))
-    except NonFiniteError as exc:
-        raise CheckpointError(f"checkpoint parameters are not finite: {exc}") from exc
+    model._adopt(cfg, dtype, ((p.name, arrays[p.name]) for p in param_schema(cfg)))
     return model

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refvos.autodiff import (DimensionError, NonFiniteError, Tensor,
+from refvos.autodiff import (DimensionError, NonFiniteError, Tensor, attention,
                              bilinear_resize, concat, conv1x1, grad_check,
                              layer_norm, linear, no_grad, softmax,
                              transposed_conv_upscale)
@@ -525,3 +525,105 @@ def test_concat_backward_hands_out_the_split_parts(axis):
     assert leaves[1].grad is None
     for t, part in zip((leaves[0], leaves[2]), (parts[0], parts[2])):
         assert t.grad.tobytes() == part.tobytes()
+
+
+# ---- fused attention against the chain it replaces ---------------------------
+
+def _attention_composite(q_in, Wq, bq, k, v, Wo, bo):
+    q = linear(q_in, Wq, bq)
+    att = softmax(q @ k.mT * (1.0 / np.sqrt(q_in.shape[-1])), axis=-1)
+    return linear(att @ v, Wo, bo)
+
+
+def _run_attention(op, arrays, dtype, self_attention, trainable, seed):
+    """Three attention calls over shared weights, as the decoder makes over
+    frames; each call's keys and values are `linear` ops, and its query
+    carries the earlier calls' outputs, so the weights gather gradients from
+    calls whose histories nest. Returns the last output and every leaf's
+    gradient."""
+    x, ctx, *weights = [Tensor(np.asarray(a, dtype=dtype), requires_grad=i < 2 or trainable)
+                        for i, a in enumerate(arrays)]
+    Wq, bq, Wk, bk, Wv, bv, Wo, bo = weights
+    rng = np.random.default_rng(seed)
+    h, total = x * 1.5, None
+    for _ in range(3):
+        kv = h if self_attention else ctx
+        y = op(h, Wq, bq, linear(kv, Wk, bk), linear(kv, Wv, bv), Wo, bo)
+        term = (y * Tensor(rng.normal(size=y.shape).astype(dtype))).sum()
+        total = term if total is None else total + term
+        h = h + y
+    total.backward()
+    return [y.data, total.data] + [t.grad for t in (x, ctx, *weights)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("q_shape, kv_shape", [((5, 6), (4, 6)), ((2, 5, 6), (2, 4, 6)),
+                                               ((2, 5, 6), (4, 6))])
+@pytest.mark.parametrize("self_attention", [True, False], ids=["self", "cross"])
+@pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+def test_fused_attention_is_bitwise_the_composite(dtype, q_shape, kv_shape, self_attention,
+                                                  trainable):
+    rng = np.random.default_rng(18)
+    # the projections narrow the width, so the scale reads q_in's width
+    arrays = [rng.normal(size=q_shape), rng.normal(size=kv_shape)]
+    for n_in, n_out in ((6, 4), (6, 4), (6, 3), (3, 6)):
+        arrays += [rng.normal(size=(n_in, n_out)), rng.normal(size=n_out)]
+    got = _run_attention(attention, arrays, dtype, self_attention, trainable, seed=3)
+    want = _run_attention(_attention_composite, arrays, dtype, self_attention, trainable, seed=3)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g.shape == w.shape and g.dtype == w.dtype == dtype
+        assert g.tobytes() == w.tobytes()
+    assert (got[4] is None) != trainable
+
+
+def test_fused_attention_passes_grad_check():
+    rng = np.random.default_rng(19)
+    q_in, Wq, bq = (Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (4, 3), 3))
+    k, v = Tensor(rng.normal(size=(2, 6, 3))), Tensor(rng.normal(size=(6, 5)))
+    Wo, bo, c = (Tensor(rng.normal(size=s)) for s in ((5, 4), 4, (2, 3, 4)))
+    checks = [
+        (lambda x: (attention(x.reshape(2, 3, 4), Wq, bq, k, v, Wo, bo) * c).sum(), 24),
+        (lambda w: (attention(q_in, w.reshape(4, 3), bq, k, v, Wo, bo) * c).sum(), 12),
+        (lambda w: (attention(q_in, Wq, w, k, v, Wo, bo) * c).sum(), 3),
+        (lambda x: (attention(q_in, Wq, bq, x.reshape(2, 6, 3), v, Wo, bo) * c).sum(), 36),
+        (lambda x: (attention(q_in, Wq, bq, k, x.reshape(6, 5), Wo, bo) * c).sum(), 30),
+        (lambda w: (attention(q_in, Wq, bq, k, v, w.reshape(5, 4), bo) * c).sum(), 20),
+        (lambda w: (attention(q_in, Wq, bq, k, v, Wo, w) * c).sum(), 4),
+    ]
+    for f, size in checks:
+        assert grad_check(f, Tensor(rng.normal(size=size))) < 1e-6
+
+
+def _injected(data):
+    """A tensor holding `data` as it is, non-finite values included, as an
+    op upstream that skipped its scan would hand it on."""
+    t = Tensor(np.zeros_like(data))
+    t.data = data
+    return t
+
+
+@pytest.mark.parametrize("case", ["infinite query", "nan key", "nan value",
+                                  "score overflow at a non-maximal key"])
+def test_fused_attention_raises_where_the_composite_does(case):
+    eye = np.eye(2)
+    q_in, Wq = np.array([[1.0, 0.0], [0.5, 1.0]]), eye.copy()
+    k, v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones((3, 2))
+    if case == "infinite query":
+        q_in[0, 0], Wq[0, 0] = 1e308, 10.0
+    elif case == "nan key":
+        k[1, 0] = np.nan
+    elif case == "nan value":
+        v[2, 1] = np.nan
+    else:
+        # query row 0 scores 1e200 at key 0, the maximum, and -inf at key 1
+        q_in[0, 0], k[1, 0] = 1e200, -1e200
+    args = [Tensor(q_in, requires_grad=True), Tensor(Wq), Tensor(np.zeros(2)),
+            _injected(k), _injected(v), Tensor(eye), Tensor(np.zeros(2))]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError):
+            _attention_composite(*args)
+        with pytest.raises(NonFiniteError, match="attention"):
+            attention(*args)

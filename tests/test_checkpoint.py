@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refvos.autodiff import NonFiniteError
 from refvos.cli import EXIT_BAD_CHECKPOINT, EXIT_OK, main
 from refvos.io import CHECKPOINT_MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from refvos.model import Model, ModelConfig, model_from_checkpoint
@@ -47,6 +48,17 @@ def test_save_checkpoint_is_atomic(tmp_path):
     # "b" sorts after "a", so the write fails after new bytes of "a" are out
     with pytest.raises(ValueError):
         save_checkpoint(path, {"a": np.arange(1.0, 4.0), "b": "not a number"})
+    assert path.read_bytes() == first
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def test_save_checkpoint_refuses_a_value_float32_cannot_hold(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"a": np.arange(3.0)})
+    first = path.read_bytes()
+    # finite in float64, inf once cast to the stored float32
+    with pytest.raises(NonFiniteError, match="record 'b' is not finite in float32"):
+        save_checkpoint(path, {"a": np.arange(1.0, 4.0), "b": np.array([1.0, 1e300])})
     assert path.read_bytes() == first
     assert os.listdir(tmp_path) == ["m.ckpt"]
 
@@ -95,6 +107,18 @@ def test_load_state_missing_or_misshaped_parameter():
     arrays = dict(model.state_arrays(), **{"itm.ln.beta": np.zeros(3)})
     with pytest.raises(CheckpointError, match="shape mismatch for 'itm.ln.beta'"):
         model.load_state(arrays)
+
+
+def test_load_state_rejects_a_non_finite_record_and_loads_nothing():
+    model = toy_model()
+    before = {n: a.tobytes() for n, a in model.state_arrays().items()}
+    arrays = {n: a + 1.0 for n, a in model.state_arrays().items()}
+    arrays["decoder.layer0.t2i.wq.weight"][1, 2] = np.nan
+    with pytest.raises(CheckpointError, match="'decoder.layer0.t2i.wq.weight' is not finite"):
+        model.load_state(arrays)
+    assert {n: a.tobytes() for n, a in model.state_arrays().items()} == before
+    with pytest.raises(CheckpointError, match="'decoder.layer0.t2i.wq.weight' is not finite"):
+        model_from_checkpoint(dict(model.checkpoint_arrays(), **arrays))
 
 
 @pytest.mark.parametrize("edit, message", [

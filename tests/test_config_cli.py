@@ -178,6 +178,25 @@ def test_train_zero_steps_keeps_existing_checkpoint(tmp_path, capsys):
     assert ckpt.read_bytes() == before
 
 
+def test_train_names_the_step_and_keeps_the_checkpoint_when_a_save_overflows(tmp_path, capsys):
+    # step 1 leaves finite float64 parameters of about 1e300, which the
+    # checkpoint's float32 cast would turn into inf
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"model.{k} = {v}\n" for k, v in TOY_MODEL.items()) +
+                    "train.lr_cmm = 1e300\ntrain.lr_hda = 1e300\ntrain.lr_decoder = 1e300\n"
+                    "train.checkpoint_interval = 1\ntrain.steps = 3\ndata.clips = 2\n")
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    before = ckpt.read_bytes()
+    code = main(["train", "--config", str(path), "--out-checkpoint", str(ckpt)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert err.startswith("error: step 1: checkpoint record '") and "not finite in float32" in err
+    assert out.startswith("step=1 ") and "step=2" not in out
+    assert ckpt.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "run.cfg"]
+
+
 def test_validate_hda_requires_da():
     with pytest.raises(ConfigurationError, match="hda"):
         parse_config("model.da = false\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refvos.autodiff import DimensionError, Tensor, grad_check
+from refvos.autodiff import DimensionError, NonFiniteError, Tensor, grad_check
 from refvos.losses import LossConfig, dice_loss, focal_loss
 
 
@@ -105,3 +105,68 @@ def test_loss_config_validation():
         LossConfig(dice_smooth=0.0)
     with pytest.raises(ValueError):
         LossConfig(w_dice=0.0, w_focal=0.0)
+
+
+# ---- the fused losses against the chains they replace --------------------------
+
+def _dice_composite(pred_prob, target, c):
+    tt = Tensor(np.asarray(target, dtype=float).astype(pred_prob.dtype))
+    inter = (pred_prob * tt).sum()
+    return 1.0 - (2.0 * inter + c.dice_smooth) / (pred_prob.sum() + tt.sum() + c.dice_smooth)
+
+
+def _focal_composite(pred_logit, target, c):
+    t = np.asarray(target, dtype=float).astype(pred_logit.dtype)
+    x_t = pred_logit * Tensor(2.0 * t - 1.0)
+    log_pt = -(-x_t).softplus()
+    one_minus_pt = (-x_t).sigmoid()
+    alpha_t = Tensor(c.focal_alpha * t + (1.0 - c.focal_alpha) * (1.0 - t))
+    return (alpha_t * one_minus_pt ** c.focal_gamma * (-log_pt)).mean()
+
+
+def _run_losses(dice, focal, terms, dtype, c, seed):
+    """Two frames' weighted losses on logits that are also read elsewhere,
+    as clip_loss reads them; returns the total and the logits' gradient."""
+    rng = np.random.default_rng(seed)
+    x = Tensor((rng.normal(size=(6, 7)) * 3.0).astype(dtype), requires_grad=True)
+    total = (x * Tensor(rng.normal(size=x.shape).astype(dtype))).sum()
+    for scale in (1.0, -0.5):
+        logits = x * scale
+        target = (rng.random(x.shape) > 0.4).astype(float)
+        if "dice" in terms:
+            total = total + c.w_dice * dice(logits.sigmoid(), target, c)
+        if "focal" in terms:
+            total = total + c.w_focal * focal(logits, target, c)
+    total.backward()
+    return [total.data, x.grad]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("terms", ["dice", "focal", "dice+focal"])
+@pytest.mark.parametrize("options", [{}, {"focal_alpha": 0.6, "focal_gamma": 0.5, "dice_smooth": 0.5},
+                                     {"focal_gamma": 0.0}])
+def test_fused_losses_are_bitwise_the_composites(dtype, terms, options):
+    c = cfg(**options)
+    got = _run_losses(dice_loss, focal_loss, terms, dtype, c, seed=4)
+    want = _run_losses(_dice_composite, _focal_composite, terms, dtype, c, seed=4)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype == dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def test_each_loss_is_one_op_over_its_prediction():
+    x = Tensor(np.random.default_rng(5).normal(size=(3, 3)), requires_grad=True)
+    target = np.eye(3)
+    p = x.sigmoid()
+    for loss, pred in ((dice_loss(p, target, cfg()), p), (focal_loss(x, target, cfg()), x)):
+        assert loss._parents == (pred,)
+
+
+def test_focal_raises_when_its_pixel_sum_overflows():
+    # every pixel is confidently wrong, so each term is about 1e308
+    x = Tensor(np.full((2, 2), -1e308), requires_grad=True)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="sum"):
+            _focal_composite(x, np.ones((2, 2)), cfg(focal_alpha=0.5))
+        with pytest.raises(NonFiniteError, match="focal_loss"):
+            focal_loss(x, np.ones((2, 2)), cfg(focal_alpha=0.5))
