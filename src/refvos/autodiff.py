@@ -6,14 +6,15 @@ finite and raises NonFiniteError naming the offending op otherwise. The ops
 that cannot turn a finite input into a non-finite output (reshape,
 transpose, getitem, concat, neg, relu) skip that scan.
 
-An op output records its parents and a backward closure only when some
-parent requires a gradient; the output then requires one too. Constants,
-and everything computed from constants and frozen parameters alone
-(`requires_grad=False`), record nothing, and `Tensor.backward` walks and
-fills only tensors that require a gradient. A closure receives the
-output's gradient and holds only the arrays it needs, never the output
-itself. A graph is therefore acyclic and is freed by reference counting as
-soon as its last output is dropped.
+Every op returns through `_record(data, parents, op, backward)`: `_make`
+wraps the output, and the closure `backward` is attached only when the
+output records its parents, which it does when some parent requires a
+gradient; the output then requires one too. Constants, and everything
+computed from constants and frozen parameters alone (`requires_grad=False`),
+record nothing, and `Tensor.backward` walks and fills only tensors that
+require a gradient. A closure receives the output's gradient and holds only
+the arrays it needs, never the output itself. A graph is therefore acyclic
+and is freed by reference counting as soon as its last output is dropped.
 
 `linear` (matmul and bias), `softmax`, `layer_norm`, `conv1x1` and
 `transposed_conv_upscale` are single fused ops. Each runs the numpy
@@ -25,6 +26,10 @@ chain's order, including the two separate accumulations into a layer_norm
 input. Floating-point sums depend on their order, so every value and
 gradient stays bit-identical to the chain, and same-seed training runs stay
 byte-identical; a textbook analytic backward would change their last bits.
+Two pieces are written once: `_softmax` (the shifted exp, its sum and
+reciprocal, and their backward) serves `softmax` and `attention`, and
+`_affine_backward` (the bias gets g, W gets xᵀg, x's gradient is returned)
+serves `linear`, `conv1x1` and both projections of `attention`.
 `attention` fuses the query projection, the scaled scores, softmax, the
 weighted sum and the output projection; the key and value projections stay
 `linear` ops, so that a weight shared over frames gathers its gradients in
@@ -33,7 +38,7 @@ weighted sum and its output: a non-finite score makes the shifted scores
 non-finite, and finite shifted scores keep the weights in [0, 1], so the
 chain's scans of the scores and of softmax's output could not fire alone.
 `losses.dice_loss` and `losses.focal_loss` are fused ops of the same kind,
-made through this module's `_make`.
+made through this module's `_record`.
 
 An op computes in the dtype of its tensor inputs. Constants follow it: a
 Python number or array operand (`x * 2.0`), layer_norm's 1/n and eps and
@@ -167,22 +172,17 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = _make(self.data + other.data, (self, other), "add")
-        if out._parents:
-            def bwd(g):
-                self._accum(g)
-                other._accum(g)
 
-            out._backward = bwd
-        return out
+        def bwd(g):
+            self._accum(g)
+            other._accum(g)
+
+        return _record(self.data + other.data, (self, other), "add", bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _make(-self.data, (self,), "neg")
-        if out._parents:
-            out._backward = lambda g: self._accum(-g)
-        return out
+        return _record(-self.data, (self,), "neg", lambda g: self._accum(-g))
 
     def __sub__(self, other):
         return self + (-_as_tensor(other, self.dtype))
@@ -192,16 +192,14 @@ class Tensor:
 
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = _make(self.data * other.data, (self, other), "mul")
-        if out._parents:
-            def bwd(g):
-                if self.requires_grad:
-                    self._accum(g * other.data)
-                if other.requires_grad:
-                    other._accum(g * self.data)
 
-            out._backward = bwd
-        return out
+        def bwd(g):
+            if self.requires_grad:
+                self._accum(g * other.data)
+            if other.requires_grad:
+                other._accum(g * self.data)
+
+        return _record(self.data * other.data, (self, other), "mul", bwd)
 
     __rmul__ = __mul__
 
@@ -214,74 +212,56 @@ class Tensor:
 
     def __pow__(self, p):
         p = float(p)
-        out = _make(self.data ** p, (self,), "pow")
-        if out._parents:
-            out._backward = lambda g: self._accum(g * p * self.data ** (p - 1.0))
-        return out
+        return _record(self.data ** p, (self,), "pow",
+                       lambda g: self._accum(g * p * self.data ** (p - 1.0)))
 
     def __matmul__(self, other):
         other = _as_tensor(other, self.dtype)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise DimensionError("matmul operands must have rank >= 2")
-        out = _make(np.matmul(self.data, other.data), (self, other), "matmul")
-        if out._parents:
-            def bwd(g):
-                if self.requires_grad:
-                    self._accum(np.matmul(g, other.data.swapaxes(-1, -2)))
-                if other.requires_grad:
-                    other._accum(np.matmul(self.data.swapaxes(-1, -2), g))
 
-            out._backward = bwd
-        return out
+        def bwd(g):
+            # not the affine backward: for x @ x both gradients go into x, self's first
+            if self.requires_grad:
+                self._accum(np.matmul(g, other.data.swapaxes(-1, -2)))
+            if other.requires_grad:
+                other._accum(np.matmul(self.data.swapaxes(-1, -2), g))
+
+        return _record(np.matmul(self.data, other.data), (self, other), "matmul", bwd)
 
     # ---- elementwise ----------------------------------------------------
 
     def exp(self):
         e = np.exp(self.data)
-        out = _make(e, (self,), "exp")
-        if out._parents:
-            out._backward = lambda g: self._accum(g * e)
-        return out
+        return _record(e, (self,), "exp", lambda g: self._accum(g * e))
 
     def relu(self):
-        out = _make(np.maximum(self.data, 0.0), (self,), "relu")
-        if out._parents:
-            out._backward = lambda g: self._accum(g * (self.data > 0))
-        return out
+        return _record(np.maximum(self.data, 0.0), (self,), "relu",
+                       lambda g: self._accum(g * (self.data > 0)))
 
     def sigmoid(self):
         s = _sigmoid(self.data)
-        out = _make(s, (self,), "sigmoid")
-        if out._parents:
-            out._backward = lambda g: self._accum(g * s * (1.0 - s))
-        return out
+        return _record(s, (self,), "sigmoid", lambda g: self._accum(g * s * (1.0 - s)))
 
     def softplus(self):
-        out = _make(np.logaddexp(0.0, self.data), (self,), "softplus")
-        if out._parents:
-            out._backward = lambda g: self._accum(g * _sigmoid(self.data))
-        return out
+        return _record(np.logaddexp(0.0, self.data), (self,), "softplus",
+                       lambda g: self._accum(g * _sigmoid(self.data)))
 
     # ---- structural -----------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _make(self.data.reshape(shape), (self,), "reshape")
-        if out._parents:
-            out._backward = lambda g: self._accum(g.reshape(self.data.shape))
-        return out
+        return _record(self.data.reshape(shape), (self,), "reshape",
+                       lambda g: self._accum(g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        out = _make(self.data.transpose(axes), (self,), "transpose")
-        if out._parents:
-            inv = sorted(range(len(axes)), key=axes.__getitem__)
-            out._backward = lambda g: self._accum(g.transpose(inv))
-        return out
+        return _record(self.data.transpose(axes), (self,), "transpose",
+                       lambda g: self._accum(g.transpose(np.argsort(axes))))
 
     @property
     def T(self):
@@ -295,26 +275,20 @@ class Tensor:
         return self.transpose(axes)
 
     def __getitem__(self, idx):
-        out = _make(self.data[idx], (self,), "getitem")
-        if out._parents:
-            def bwd(g):
-                full = np.zeros_like(self.data)
-                np.add.at(full, idx, g)
-                self._accum(full)
+        def bwd(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, idx, g)
+            self._accum(full)
 
-            out._backward = bwd
-        return out
+        return _record(self.data[idx], (self,), "getitem", bwd)
 
     def sum(self, axis=None, keepdims=False):
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
-        if out._parents:
-            def bwd(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape))
+        def bwd(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape))
 
-            out._backward = bwd
-        return out
+        return _record(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum", bwd)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -332,10 +306,8 @@ _FINITE_PRESERVING = frozenset(("reshape", "transpose", "getitem", "concat", "ne
 
 
 def _make(data, parents, op):
-    """Wrap an op's checked output. Outside `no_grad`, when some parent
-    requires a gradient, it records `parents` and requires a gradient
-    itself; the caller attaches a backward closure when `out._parents` is
-    set."""
+    """Wrap an op's checked output; outside `no_grad`, when some parent
+    requires a gradient, it records `parents` and requires one itself."""
     if op not in _FINITE_PRESERVING:
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
@@ -354,22 +326,64 @@ def _make(data, parents, op):
     return out
 
 
+def _record(data, parents, op, backward):
+    """The output of every op: `_make`'s tensor, looked up at call time, with
+    `backward` (the output's gradient -> the parents' `_accum` calls)
+    attached when it recorded its parents."""
+    out = _make(data, parents, op)
+    if out._parents:
+        out._backward = backward
+    return out
+
+
 def concat(tensors, axis=0):
     tensors = list(tensors)
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
-    if out._parents:
-        def bwd(g):
-            index = [slice(None)] * g.ndim
-            start = 0
-            for t in tensors:
-                stop = start + t.data.shape[axis]
-                if t.requires_grad:
-                    index[axis] = slice(start, stop)
-                    t._accum(g[tuple(index)])
-                start = stop
 
-        out._backward = bwd
-    return out
+    def bwd(g):
+        index = [slice(None)] * g.ndim
+        start = 0
+        for t in tensors:
+            stop = start + t.data.shape[axis]
+            if t.requires_grad:
+                index[axis] = slice(start, stop)
+                t._accum(g[tuple(index)])
+            start = stop
+
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors),
+                   "concat", bwd)
+
+
+def _affine_backward(g, x, W, b, x_grad):
+    """The backward of `x @ W + b` for an array x, in the chain's order: b
+    gets g, x's gradient `g @ W.T` is formed when `x_grad`, then W gets
+    `x.T @ g`. Returns x's gradient (None unless `x_grad`) for the caller to
+    accumulate or carry on after W's; that order is the chain's unless x and
+    W are one tensor, which no caller passes."""
+    if b is not None:
+        b._accum(g)
+    gx = np.matmul(g, W.data.swapaxes(-1, -2)) if x_grad else None
+    if W.requires_grad:
+        W._accum(np.matmul(x.swapaxes(-1, -2), g))
+    return gx
+
+
+def _softmax(x, axis, op):
+    """`exp(x - max) / sum` over `axis` of an array, and the function from
+    the output's gradient to x's, in the chain's arithmetic."""
+    z = x + (-x.max(axis=axis, keepdims=True))
+    # a non-finite x makes z non-finite, as does an input range beyond the
+    # float range; a finite z keeps every later value in [0, 1]
+    _check_finite(z, op)
+    e = np.exp(z)
+    s = e.sum(axis=axis, keepdims=True)
+    r = s ** -1.0
+
+    def backward(g):
+        # e * r, r = s ** -1, s = e.sum: e gets g * r, then the sum's share
+        gs = _unbroadcast(g * e, r.shape) * -1.0 * s ** -2.0
+        return (g * r + gs) * e
+
+    return e * r, backward
 
 
 # ---- neural-net building blocks -----------------------------------------
@@ -385,47 +399,22 @@ def linear(x, W, b=None):
     x2 = x.data.reshape(1, -1) if squeeze else x.data
     xw = np.matmul(x2, W.data)
     y = xw if b is None else xw + b.data
-    out = _make(y.reshape(y.shape[1:]) if squeeze else y,
-                (x, W) if b is None else (x, W, b), "linear")
-    if out._parents:
-        y_shape = y.shape
 
-        def bwd(g):
-            # the composite's order: bias (the add), then x and W (the matmul)
-            if squeeze:
-                g = g.reshape(y_shape)
-            if b is not None:
-                b._accum(g)
-            if x.requires_grad:
-                gx = np.matmul(g, W.data.swapaxes(-1, -2))
-                x._accum(gx.reshape(x.shape) if squeeze else gx)
-            if W.requires_grad:
-                W._accum(np.matmul(x2.swapaxes(-1, -2), g))
+    def bwd(g):
+        gx = _affine_backward(g.reshape(y.shape) if squeeze else g, x2, W, b, x.requires_grad)
+        if gx is not None:
+            x._accum(gx.reshape(x.shape) if squeeze else gx)
 
-        out._backward = bwd
-    return out
+    return _record(y.reshape(y.shape[1:]) if squeeze else y,
+                   (x, W) if b is None else (x, W, b), "linear", bwd)
 
 
 def softmax(x, axis=-1):
     """exp(x - max) / sum, as one op over `axis`."""
     if axis >= x.data.ndim or axis < -x.data.ndim:
         raise DimensionError(f"softmax: axis {axis} out of range for rank {x.data.ndim}")
-    z = x.data + (-x.data.max(axis=axis, keepdims=True))
-    # the only way to a non-finite value inside: an input range beyond the float range
-    _check_finite(z, "softmax")
-    e = np.exp(z)
-    s = e.sum(axis=axis, keepdims=True)
-    r = s ** -1.0
-    out = _make(e * r, (x,), "softmax")
-    if out._parents:
-        def bwd(g):
-            # e * r, r = s ** -1, s = e.sum: e gets g * r, then the sum's share
-            gs = _unbroadcast(g * e, r.shape) * -1.0 * s ** -2.0
-            ge = g * r + gs
-            x._accum(ge * e)
-
-        out._backward = bwd
-    return out
+    y, back = _softmax(x.data, axis, "softmax")
+    return _record(y, (x,), "softmax", lambda g: x._accum(back(g)))
 
 
 def attention(q_in, Wq, bq, k, v, Wo, bo):
@@ -453,50 +442,29 @@ def attention(q_in, Wq, bq, k, v, Wo, bo):
     kt = kd.swapaxes(-1, -2)
     qk = np.matmul(q, kt)
     c = np.asarray(1.0 / np.sqrt(xd.shape[-1]), dtype=qk.dtype)
-    sc = qk * c
-    # softmax over keys; a non-finite score makes z non-finite, and a finite
-    # z bounds the weights to [0, 1], so z is the only scan it needs
-    z = sc + (-sc.max(axis=-1, keepdims=True))
-    _check_finite(z, "attention")
-    e = np.exp(z)
-    s = e.sum(axis=-1, keepdims=True)
-    r = s ** -1.0
-    att = e * r
+    att, softmax_back = _softmax(qk * c, -1, "attention")
     av = np.matmul(att, vd)
     _check_finite(av, "attention")
-    out = _make(np.matmul(av, Wo.data) + bo.data, (q_in, Wq, bq, k, v, Wo, bo), "attention")
-    if out._parents:
+
+    def bwd(g):
+        # the chain's reverse order: the output linear, the weighted sum,
+        # softmax, the scale, the scores, the query linear, the key transpose
         q_grad = q_in.requires_grad or Wq.requires_grad or bq.requires_grad
         att_grad = q_grad or k.requires_grad
+        gav = _affine_backward(g, av, Wo, bo, att_grad or v.requires_grad)
+        if v.requires_grad:
+            v._accum(np.matmul(att.swapaxes(-1, -2), gav))
+        if not att_grad:
+            return
+        gqk = softmax_back(_sum_to(np.matmul(gav, vd.swapaxes(-1, -2)), att.shape)) * c
+        if q_grad:
+            gq = _sum_to(np.matmul(gqk, kd), q.shape)
+            q_in._accum(_affine_backward(gq, xd, Wq, bq, q_in.requires_grad))
+        if k.requires_grad:
+            k._accum(_sum_to(np.matmul(q.swapaxes(-1, -2), gqk), kt.shape).swapaxes(-1, -2))
 
-        def bwd(g):
-            # the chain's reverse order: the output linear (bias, input,
-            # weight), the weighted sum, softmax, the scale, the scores, the
-            # query linear, then the key transpose
-            bo._accum(g)
-            if att_grad or v.requires_grad:
-                gav = np.matmul(g, Wo.data.swapaxes(-1, -2))
-            if Wo.requires_grad:
-                Wo._accum(np.matmul(av.swapaxes(-1, -2), g))
-            if v.requires_grad:
-                v._accum(np.matmul(att.swapaxes(-1, -2), gav))
-            if not att_grad:
-                return
-            gatt = _sum_to(np.matmul(gav, vd.swapaxes(-1, -2)), att.shape)
-            gs = _unbroadcast(gatt * e, r.shape) * -1.0 * s ** -2.0
-            gqk = ((gatt * r + gs) * e) * c
-            if q_grad:
-                gq = _sum_to(np.matmul(gqk, kd), q.shape)
-                bq._accum(gq)
-                if q_in.requires_grad:
-                    q_in._accum(np.matmul(gq, Wq.data.swapaxes(-1, -2)))
-                if Wq.requires_grad:
-                    Wq._accum(np.matmul(xd.swapaxes(-1, -2), gq))
-            if k.requires_grad:
-                k._accum(_sum_to(np.matmul(q.swapaxes(-1, -2), gqk), kt.shape).swapaxes(-1, -2))
-
-        out._backward = bwd
-    return out
+    return _record(np.matmul(av, Wo.data) + bo.data, (q_in, Wq, bq, k, v, Wo, bo),
+                   "attention", bwd)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
@@ -513,25 +481,23 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     rs = ve ** -0.5
     a = xc * rs
     scaled = a * gamma.data
-    out = _make(scaled + beta.data, (x, gamma, beta), "layer_norm")
-    if out._parents:
-        def bwd(g):
-            # the composite ((xc * rs) * gamma) + beta, xc = x - mean(x),
-            # rs = (mean(xc * xc) + eps) ** -0.5, in its reverse order
-            beta._accum(g)
-            if gamma.requires_grad:
-                gamma._accum(g * a)
-            if not x.requires_grad:
-                return
-            ga = g * gamma.data
-            grs = _unbroadcast(ga * xc, rs.shape)
-            gsq = grs * -0.5 * ve ** -1.5 * inv_n
-            gxc = ga * rs + gsq * xc + gsq * xc
-            x._accum(gxc)
-            x._accum(np.broadcast_to(-_unbroadcast(gxc, rs.shape) * inv_n, xd.shape))
 
-        out._backward = bwd
-    return out
+    def bwd(g):
+        # the composite ((xc * rs) * gamma) + beta, xc = x - mean(x),
+        # rs = (mean(xc * xc) + eps) ** -0.5, in its reverse order
+        beta._accum(g)
+        if gamma.requires_grad:
+            gamma._accum(g * a)
+        if not x.requires_grad:
+            return
+        ga = g * gamma.data
+        grs = _unbroadcast(ga * xc, rs.shape)
+        gsq = grs * -0.5 * ve ** -1.5 * inv_n
+        gxc = ga * rs + gsq * xc + gsq * xc
+        x._accum(gxc)
+        x._accum(np.broadcast_to(-_unbroadcast(gxc, rs.shape) * inv_n, xd.shape))
+
+    return _record(scaled + beta.data, (x, gamma, beta), "layer_norm", bwd)
 
 
 def conv1x1(x, W, b=None):
@@ -548,23 +514,17 @@ def conv1x1(x, W, b=None):
     x2 = x.data.reshape(*lead, cin, h * w).transpose(swap)
     xw = np.matmul(x2, W.data)
     y = xw if b is None else xw + b.data
-    out = _make(y.transpose(swap).reshape(*lead, cout, h, w),
-                (x, W) if b is None else (x, W, b), "conv1x1")
-    if out._parents:
-        def bwd(g):
-            # the chain's order: the reshape and .mT back, linear's bias,
-            # x and W, then .mT and the reshape back to x
-            g = g.reshape(*lead, cout, h * w).transpose(swap)
-            if b is not None:
-                b._accum(g)
-            if x.requires_grad:
-                gx = np.matmul(g, W.data.swapaxes(-1, -2))
-                x._accum(gx.transpose(swap).reshape(x.shape))
-            if W.requires_grad:
-                W._accum(np.matmul(x2.swapaxes(-1, -2), g))
 
-        out._backward = bwd
-    return out
+    def bwd(g):
+        # the chain's order: the reshape and .mT back, linear's backward,
+        # then .mT and the reshape back to x
+        gx = _affine_backward(g.reshape(*lead, cout, h * w).transpose(swap), x2, W, b,
+                              x.requires_grad)
+        if gx is not None:
+            x._accum(gx.transpose(swap).reshape(x.shape))
+
+    return _record(y.transpose(swap).reshape(*lead, cout, h, w),
+                   (x, W) if b is None else (x, W, b), "conv1x1", bwd)
 
 
 @functools.lru_cache(maxsize=32)
@@ -613,23 +573,21 @@ def transposed_conv_upscale(x, W, b=None):
     w2 = W.data.reshape(cin, cout * 4)
     xw = np.matmul(x2, w2)
     y = xw.reshape(h, w, cout, 2, 2).transpose(2, 0, 3, 1, 4).reshape(cout, 2 * h, 2 * w)
-    out = _make(y if b is None else y + b.data.reshape(cout, 1, 1),
-                (x, W) if b is None else (x, W, b), "transposed_conv_upscale")
-    if out._parents:
-        def bwd(g):
-            # the chain's order: the layout ops back to linear's output, its
-            # x and W, the reshapes back to x and W, then the bias
-            gy = g.reshape(cout, h, 2, w, 2).transpose(1, 3, 0, 2, 4).reshape(h * w, cout * 4)
-            if x.requires_grad:
-                gx = np.matmul(gy, w2.swapaxes(-1, -2))
-                x._accum(gx.transpose(1, 0).reshape(x.shape))
-            if W.requires_grad:
-                W._accum(np.matmul(x2.swapaxes(-1, -2), gy).reshape(W.shape))
-            if b is not None and b.requires_grad:
-                b._accum(_unbroadcast(g, (cout, 1, 1)).reshape(cout))
 
-        out._backward = bwd
-    return out
+    def bwd(g):
+        # the chain's order: the layout ops back to linear's output, its
+        # x and W, the reshapes back to x and W, then the bias
+        gy = g.reshape(cout, h, 2, w, 2).transpose(1, 3, 0, 2, 4).reshape(h * w, cout * 4)
+        if x.requires_grad:
+            gx = np.matmul(gy, w2.swapaxes(-1, -2))
+            x._accum(gx.transpose(1, 0).reshape(x.shape))
+        if W.requires_grad:
+            W._accum(np.matmul(x2.swapaxes(-1, -2), gy).reshape(W.shape))
+        if b is not None and b.requires_grad:
+            b._accum(_unbroadcast(g, (cout, 1, 1)).reshape(cout))
+
+    return _record(y if b is None else y + b.data.reshape(cout, 1, 1),
+                   (x, W) if b is None else (x, W, b), "transposed_conv_upscale", bwd)
 
 
 def grad_check(f, x, eps=1e-5, indices=None):

@@ -182,7 +182,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # op outputs and AdamW updates are scanned: report in one line, without warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CHECKPOINT

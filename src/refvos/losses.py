@@ -53,17 +53,16 @@ def dice_loss(pred_prob, target, cfg):
     num = (p * t).sum() * two + smooth
     den = p.sum() + t.sum() + smooth
     rden = den ** -1.0
-    out = autodiff._make(np.asarray(1.0, p.dtype) + (-(num * rden)), (pred_prob,), "dice_loss")
-    if out._parents:
-        def bwd(g):
-            # the chain's reverse order: the quotient, the numerator's
-            # p * t term, then the denominator's sum(p) term
-            gr = -g
-            pred_prob._accum(np.broadcast_to(gr * rden * two, p.shape) * t)
-            pred_prob._accum(np.broadcast_to(gr * num * -1.0 * den ** -2.0, p.shape))
 
-        out._backward = bwd
-    return out
+    def bwd(g):
+        # the chain's reverse order: the quotient, the numerator's
+        # p * t term, then the denominator's sum(p) term
+        gr = -g
+        pred_prob._accum(np.broadcast_to(gr * rden * two, p.shape) * t)
+        pred_prob._accum(np.broadcast_to(gr * num * -1.0 * den ** -2.0, p.shape))
+
+    return autodiff._record(np.asarray(1.0, p.dtype) + (-(num * rden)), (pred_prob,),
+                            "dice_loss", bwd)
 
 
 def focal_loss(pred_logit, target, cfg):
@@ -86,16 +85,14 @@ def focal_loss(pred_logit, target, cfg):
     one_minus_pt = autodiff._sigmoid(-xt)
     weight = alpha * one_minus_pt ** gamma
     inv_n = np.asarray(1.0 / x.size, x.dtype)
-    out = autodiff._make((weight * neg_log_pt).sum() * inv_n, (pred_logit,), "focal_loss")
-    if out._parents:
-        def bwd(g):
-            # the chain's reverse order: the mean, the product, then x_t's
-            # sigmoid branch, its softplus branch, and the sign once
-            gw = np.broadcast_to(g * inv_n, x.shape)
-            gs = gw * neg_log_pt * alpha * gamma * one_minus_pt ** (gamma - 1.0)
-            g_sigmoid = gs * one_minus_pt * (1.0 - one_minus_pt)
-            g_softplus = gw * weight * one_minus_pt
-            pred_logit._accum((-g_sigmoid - g_softplus) * sign)
 
-        out._backward = bwd
-    return out
+    def bwd(g):
+        # the chain's reverse order: the mean, the product, then x_t's
+        # sigmoid branch, its softplus branch, and the sign once
+        gw = np.broadcast_to(g * inv_n, x.shape)
+        gs = gw * neg_log_pt * alpha * gamma * one_minus_pt ** (gamma - 1.0)
+        g_sigmoid = gs * one_minus_pt * (1.0 - one_minus_pt)
+        g_softplus = gw * weight * one_minus_pt
+        pred_logit._accum((-g_sigmoid - g_softplus) * sign)
+
+    return autodiff._record((weight * neg_log_pt).sum() * inv_n, (pred_logit,), "focal_loss", bwd)

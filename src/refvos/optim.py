@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .autodiff import NonFiniteError
+
 
 def module_of(name):
     """Map a parameter name to its learning-rate group."""
@@ -52,7 +54,9 @@ class AdamW:
         """One update of every parameter, run over each group's parameters
         at once: every expression is elementwise, so each number is computed
         as by a per-parameter loop. Reads each `p.data` afresh and rebinds
-        it to a slice of the group's result."""
+        it to a slice of the group's result. Raises NonFiniteError naming
+        the group, before touching it, when its new second moment or values
+        are not finite (an overflowing gradient or g * g)."""
         self.t += 1
         b1, b2 = self.betas
         c1 = 1.0 - b1 ** self.t
@@ -63,10 +67,13 @@ class AdamW:
                                 else p.grad.reshape(-1) for p in ps], dtype=dtype)
             data = np.concatenate([p.data.reshape(-1) for p in ps], dtype=dtype)
             lr = float(self.lr_by_module[group.module])
-            m = group.m = b1 * group.m + (1 - b1) * g
-            v = group.v = b2 * group.v + (1 - b2) * g * g
+            m = b1 * group.m + (1 - b1) * g
+            v = b2 * group.v + (1 - b2) * g * g
             update = (m / c1) / (np.sqrt(v / c2) + self.eps)
             new = data - lr * (update + self.weight_decay * data)
+            if not (np.isfinite(v).all() and np.isfinite(new).all()):
+                raise NonFiniteError(f"AdamW update of group '{group.module}' is not finite")
+            group.m, group.v = m, v
             start = 0
             for p in ps:
                 stop = start + p.data.size

@@ -357,10 +357,32 @@ def test_fused_ops_pass_grad_check():
         assert grad_check(f, Tensor(rng.normal(size=size))) < 1e-6
 
 
+def _every_fused_op(x, w):
+    """One output of each fused op, with x a (2, 2) positive tensor and w a
+    (2, 2) weight."""
+    from refvos.losses import LossConfig, dice_loss, focal_loss
+
+    cube = x.reshape(2, 1, 2)
+    prob = x * 0.2
+    target = np.array([[1.0, 0.0], [0.0, 1.0]])
+    return [linear(x, w, x[0]), softmax(x), layer_norm(x, x[0], x[1]),
+            attention(x, w, x[0], x, x, w, x[1]), conv1x1(cube, w, x[0]),
+            transposed_conv_upscale(cube, concat([cube, cube], axis=1).reshape(2, 1, 2, 2),
+                                    x[0][:1]),
+            concat([x, w], axis=1), dice_loss(prob, target, LossConfig()),
+            focal_loss(x, target, LossConfig())]
+
+
 def test_ops_over_inputs_without_gradient_record_nothing():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     w = Tensor([[0.5, -1.0], [2.0, 1.0]])
-    outs = _every_op(x) + [linear(x, w, x[0]), softmax(x), layer_norm(x, x[0], x[1])]
+    outs = _every_op(x) + _every_fused_op(x, w)
+    # and every op over inputs that need a gradient, inside no_grad
+    xg, wg = Tensor(x.data, requires_grad=True), Tensor(w.data, requires_grad=True)
+    assert all(_records(t) for t in _every_op(xg) + _every_fused_op(xg, wg))
+    with no_grad():
+        outs += _every_op(xg) + _every_fused_op(xg, wg)
+    assert len(outs) == 2 * (14 + 9)
     for t in outs:
         assert t._parents == () and t._backward is None and not t.requires_grad, t._op
     # a parameter that needs no gradient gets none when another one does

@@ -1,6 +1,9 @@
 import filecmp
 import os
 import shutil
+import subprocess
+import sys
+import warnings
 
 import dataclasses
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import refvos
 from refvos.cli import (EXIT_BAD_CHECKPOINT, EXIT_FAILURE, EXIT_OK,
                         EXIT_SHAPE_MISMATCH, main)
 from refvos.config import RunConfig, load_config, parse_config
@@ -195,6 +199,46 @@ def test_train_names_the_step_and_keeps_the_checkpoint_when_a_save_overflows(tmp
     assert out.startswith("step=1 ") and "step=2" not in out
     assert ckpt.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["m.ckpt", "run.cfg"]
+
+
+def _failing_toy_run(tmp_path, extra):
+    """A toy `train` config of 3 steps with no save before the last step,
+    and a checkpoint placed at its output beforehand."""
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"model.{k} = {v}\n" for k, v in TOY_MODEL.items()) + extra +
+                    "train.checkpoint_interval = 50\ntrain.steps = 3\ndata.clips = 2\n")
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    return path, ckpt
+
+
+# 1e306 overflows the dice backward, 1e305 overflows AdamW's g * g
+@pytest.mark.parametrize("w_dice", ["1e306", "1e305"])
+def test_train_stops_at_the_step_whose_adamw_update_is_not_finite(tmp_path, capsys, w_dice):
+    path, ckpt = _failing_toy_run(tmp_path, f"train.w_dice = {w_dice}\n")
+    before = ckpt.read_bytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(path), "--out-checkpoint", str(ckpt)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert err.startswith("error: step 1: AdamW update of group '") and err.count("\n") == 1
+    assert out == "" and not caught
+    assert ckpt.read_bytes() == before
+
+
+def test_a_failing_train_step_prints_one_stderr_line_and_no_numpy_warning(tmp_path):
+    # step 1 leaves parameters of about 1e300; step 2's forward overflows in a matmul
+    path, ckpt = _failing_toy_run(
+        tmp_path, "train.lr_cmm = 1e300\ntrain.lr_hda = 1e300\ntrain.lr_decoder = 1e300\n")
+    before = ckpt.read_bytes()
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(refvos.__file__)))
+    run = subprocess.run([sys.executable, "-m", "refvos.cli", "train", "--config", str(path),
+                          "--out-checkpoint", str(ckpt)], capture_output=True, text=True, env=env)
+    assert run.returncode == EXIT_FAILURE
+    assert run.stderr == "error: step 2: non-finite value produced by op 'linear'\n"
+    assert run.stdout.startswith("step=1 ") and "step=2" not in run.stdout
+    assert ckpt.read_bytes() == before
 
 
 def test_validate_hda_requires_da():

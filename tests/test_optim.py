@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refvos.autodiff import Tensor
+from refvos.autodiff import NonFiniteError, Tensor
 from refvos.optim import AdamW, module_of
 
 RATES = {"cmm": 1e-3, "hda": 2e-3, "decoder": 1e-4, "adapter": 5e-4, "itm": 3e-3}
@@ -57,3 +57,27 @@ def test_float64_gradients_leave_a_float32_model_float32():
 def test_unknown_group_fails_at_construction():
     with pytest.raises(KeyError, match="'neck'"):
         AdamW({"neck.w": Tensor(np.ones(2), requires_grad=True)}, RATES)
+
+
+@pytest.mark.parametrize("bad", [np.inf, 1e200])
+def test_a_non_finite_update_raises_and_leaves_its_group_as_it_was(bad):
+    # inf makes the update NaN; 1e200 overflows g * g, so the second moment
+    # is inf and the update silently 0
+    rng = np.random.default_rng(1)
+    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in SHAPES.items()}
+    opt = AdamW(params, RATES)
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    opt.step()
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    params["hda.da0.conv.weight"].grad[0, 1] = bad
+    hda = [n for n in SHAPES if module_of(n) == "hda"]
+    before = {n: params[n].data.tobytes() for n in hda}
+    group = next(g for g in opt._groups if g.module == "hda")
+    m, v = group.m.copy(), group.v.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="AdamW update of group 'hda'"):
+            opt.step()
+    assert {n: params[n].data.tobytes() for n in hda} == before
+    assert group.m.tobytes() == m.tobytes() and group.v.tobytes() == v.tobytes()

@@ -1,5 +1,8 @@
 import collections
 import gc
+import importlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -351,6 +354,27 @@ def test_fused_attention_and_losses_cut_the_op_counts(monkeypatch):
     assert _count_ops(monkeypatch, step).total() <= 570
     long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
     assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() <= 94 * 24
+
+
+def test_perfbench_tracer_finds_its_entry_points_and_counts_ops(monkeypatch):
+    # the tracer patches entry points by name, and counts ops through
+    # autodiff._make; a rename would drop per-layer metrics without an error
+    from refvos import autodiff
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # write nothing into perfbench/
+    tracer = importlib.import_module("tracer").Tracer()
+    make = autodiff._make
+    tracer.install()
+    try:
+        assert tracer.absent == set()
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        linear(x, Tensor(np.ones((3, 2)))).sum().backward()
+        assert tracer.counts["ops"] == 2 and tracer.calls["autodiff.backward"] == 1
+    finally:
+        tracer.uninstall()
+    assert autodiff._make is make
 
 
 def _composite_attention(q_in, kv_in, params, prefix):
