@@ -11,7 +11,7 @@ from refvos.losses import LossConfig, dice_loss, focal_loss
 rng = np.random.default_rng(0)
 
 # Tensors track the graph; backward() fills .grad on every input that
-# requires a gradient.
+# requires a gradient, freeing the graph as it walks it.
 x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 b = Tensor(np.zeros(2), requires_grad=True)

@@ -13,8 +13,12 @@ gradient; the output then requires one too. Constants, and everything
 computed from constants and frozen parameters alone (`requires_grad=False`),
 record nothing, and `Tensor.backward` walks and fills only tensors that
 require a gradient. A closure receives the output's gradient and holds only
-the arrays it needs, never the output itself. A graph is therefore acyclic
-and is freed by reference counting as soon as its last output is dropped.
+the arrays it needs, never the output itself, so a graph is acyclic and
+reference counting frees it. `Tensor.backward` consumes the graph it walks:
+each node drops its closure, parents and gradient once its closure has run,
+so the walk frees activations and intermediate gradients as it goes and
+leaves only the output and the leaves' `.grad`. A graph is walked once; a
+graph never walked is freed when its last output is dropped.
 
 `linear` (matmul and bias), `softmax`, `layer_norm`, `conv1x1` and
 `transposed_conv_upscale` are single fused ops. Each runs the numpy
@@ -147,6 +151,15 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the `.grad` of every leaf that
+        requires a gradient, consuming the graph on the way.
+
+        The closures run in reverse topological order. Once a node's closure
+        has run, the node drops its closure, its parents and its gradient, so
+        each activation and intermediate gradient is freed as soon as no
+        later closure reads it, and memory peaks near the forward graph's
+        size. A consumed node's backward raises RuntimeError: a second call
+        through the same graph fails instead of adding nothing."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
         topo, seen = [], set()
@@ -161,12 +174,16 @@ class Tensor:
             seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad:
+                if p._backward is not None:
                     stack.append((p, False))
+        del seen
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is not None:
+                backward(node.grad)
+                node._backward, node._parents, node.grad = _consumed, (), None
 
     # ---- arithmetic -----------------------------------------------------
 
@@ -293,6 +310,19 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def _consumed(g):
+    raise RuntimeError("backward already ran through this graph")
+
+
+def _leaf(data, requires_grad):
+    """A leaf over a float array the caller knows to be finite, made without
+    the constructor's scan."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad = data, None, requires_grad
+    out._parents, out._backward, out._op = (), None, "leaf"
+    return out
 
 
 def _as_tensor(x, dtype):

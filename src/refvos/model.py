@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import _leaf
 from .decoder import decode
 from .encoder import ConfigurationError, encode_frame, encode_text
 from .fusion import (cross_modal_project, dense_attention,
@@ -179,20 +179,26 @@ def _draw(spec, rng):
     return np.full(spec.shape, float(spec.init))
 
 
-def _check_records(schema, arrays):
+def _check_records(schema, arrays, dtype):
     """Raise CheckpointError unless the records of `arrays` other than
     `config.*` are exactly the parameters of `schema`, each with its shape
-    and finite."""
+    and finite in `dtype`. A record that casts to `dtype` without narrowing
+    is scanned as it is; a narrowing one (float64 into a float32 model) is
+    scanned after the cast, which turns values beyond its range into inf."""
     names = set()
     for spec in schema:
         if spec.name not in arrays:
             raise CheckpointError(f"checkpoint missing parameter {spec.name!r}")
-        shape = np.shape(arrays[spec.name])
-        if shape != spec.shape:
+        arr = np.asarray(arrays[spec.name])
+        if arr.shape != spec.shape:
             raise CheckpointError(f"checkpoint shape mismatch for {spec.name!r}: "
-                                  f"{shape} vs {spec.shape}")
-        if not np.isfinite(arrays[spec.name]).all():
-            raise CheckpointError(f"checkpoint parameter {spec.name!r} is not finite")
+                                  f"{arr.shape} vs {spec.shape}")
+        if not np.can_cast(arr.dtype, dtype):
+            with np.errstate(over="ignore"):
+                arr = arr.astype(dtype)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint parameter {spec.name!r} is not finite "
+                                  f"in {np.dtype(dtype).name}")
         names.add(spec.name)
     unknown = sorted(n for n in arrays if n not in names and not n.startswith(CONFIG_PREFIX))
     if unknown:
@@ -209,12 +215,13 @@ class Model:
 
     def _adopt(self, cfg, dtype, arrays):
         """Take (name, array) pairs as the parameters; frozen ones record no
-        gradient. `vcfg` is the same object as `cfg`, kept for callers that
-        read the encoder settings under that name."""
+        gradient. The arrays are not scanned again: they are the draws of
+        `__init__`, finite by construction, or records `_check_records`
+        found finite in `dtype`. `vcfg` is the same object as `cfg`, kept
+        for callers that read the encoder settings under that name."""
         self.cfg = self.vcfg = cfg
         self.dtype = dtype
-        self.params = {n: Tensor(np.asarray(a, dtype=dtype),
-                                 requires_grad=module_of(n) not in FROZEN_GROUPS)
+        self.params = {n: _leaf(np.asarray(a, dtype=dtype), module_of(n) not in FROZEN_GROUPS)
                        for n, a in arrays}
 
     # ---- forward pieces --------------------------------------------------
@@ -270,7 +277,7 @@ class Model:
         if any(n.startswith(CONFIG_PREFIX) for n in arrays) and \
                 _config_from_arrays(arrays) != self.cfg:
             raise CheckpointError("checkpoint config records differ from the model's config")
-        _check_records(param_schema(self.cfg), arrays)
+        _check_records(param_schema(self.cfg), arrays, self.dtype)
         for name, p in self.params.items():
             p.data, p.grad = np.asarray(arrays[name], dtype=self.dtype), None
 
@@ -304,7 +311,7 @@ def model_from_checkpoint(arrays, dtype=np.float64):
     draws nothing, and allocates nothing before every record's name and
     shape match the schema of the recorded config."""
     cfg = _config_from_arrays(arrays)
-    _check_records(param_schema(cfg), arrays)
+    _check_records(param_schema(cfg), arrays, dtype)
     model = Model.__new__(Model)
     model._adopt(cfg, dtype, ((p.name, arrays[p.name]) for p in param_schema(cfg)))
     return model

@@ -130,25 +130,21 @@ def train_step(batch, model, optimizer, loss_cfg, detach_track=False):
 
     Runs with the cyclic collector paused: a training graph is acyclic and
     freed by reference counting, so a collection there would find nothing.
-    The graph is freed when `_step` returns, before the collector resumes,
-    so no collection is left due to scan it."""
+    `backward` frees the graph as it walks it, so AdamW runs beside the
+    gradients alone and no graph is left when the collector resumes."""
     with _collector_paused():
-        return _step(batch, model, optimizer, loss_cfg, detach_track)
-
-
-def _step(batch, model, optimizer, loss_cfg, detach_track):
-    optimizer.zero_grad()
-    total = None
-    report = {"dice": 0.0, "focal": 0.0, "iou": 0.0, "total": 0.0}
-    for frames, expr, gts in batch:
-        if len(frames) != len(gts):
-            raise ValueError("train_step: each frame needs a ground-truth mask")
-        loss, rep = clip_loss(model, frames, expr, gts, loss_cfg, detach_track)
-        total = loss if total is None else total + loss
-        for k in report:
-            report[k] += rep[k]
-    total.backward()
-    optimizer.step()
+        optimizer.zero_grad()
+        total = None
+        report = {"dice": 0.0, "focal": 0.0, "iou": 0.0, "total": 0.0}
+        for frames, expr, gts in batch:
+            if len(frames) != len(gts):
+                raise ValueError("train_step: each frame needs a ground-truth mask")
+            loss, rep = clip_loss(model, frames, expr, gts, loss_cfg, detach_track)
+            total = loss if total is None else total + loss
+            for k in report:
+                report[k] += rep[k]
+        total.backward()
+        optimizer.step()
     return report
 
 

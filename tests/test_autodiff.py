@@ -257,6 +257,20 @@ def test_no_grad_restores_recording_after_nesting_and_errors():
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
+def test_backward_consumes_a_graph_shared_by_two_outputs():
+    # the first walk frees y's closure; a second walk reaching y fails
+    # instead of handing x nothing
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x * x
+    a, b = y.sum(), (y * 3.0).sum()
+    a.backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    assert y._parents == () and y.grad is None and a.grad is None
+    with pytest.raises(RuntimeError, match="backward already ran through this graph"):
+        b.backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
 def test_no_grad_still_raises_nonfinite_with_op_name():
     with no_grad():
         with pytest.raises(NonFiniteError, match="pow"), np.errstate(divide="ignore"):

@@ -121,6 +121,29 @@ def test_load_state_rejects_a_non_finite_record_and_loads_nothing():
         model_from_checkpoint(dict(model.checkpoint_arrays(), **arrays))
 
 
+def test_model_from_checkpoint_scans_each_record_once(monkeypatch):
+    # _check_records scans every record and names a bad one; the leaves are
+    # then built without the Tensor constructor's second scan
+    from refvos import autodiff
+    arrays = toy_model().checkpoint_arrays()
+    scans, check = [], autodiff._check_finite
+    monkeypatch.setattr(autodiff, "_check_finite", lambda data, op: (scans.append(op), check(data, op)))
+    rebuilt = model_from_checkpoint(arrays)
+    assert "leaf" not in scans
+    assert all(p.data.tobytes() == arrays[n].tobytes() for n, p in rebuilt.params.items())
+
+
+def test_a_record_beyond_float32_range_is_refused_by_a_float32_model():
+    arrays = toy_model().checkpoint_arrays()
+    arrays["itm.ln.beta"] = np.full(32, 1e300)
+    with pytest.raises(CheckpointError, match="'itm.ln.beta' is not finite in float32"):
+        model_from_checkpoint(arrays, dtype=np.float32)
+    model = Model(ModelConfig(**TOY), dtype=np.float32)
+    with pytest.raises(CheckpointError, match="'itm.ln.beta' is not finite in float32"):
+        model.load_state(arrays)
+    assert model_from_checkpoint(arrays).params["itm.ln.beta"].data[0] == 1e300
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda a: [a.pop(n) for n in list(a) if n.startswith("config.")], "no config"),
     (lambda a: a.pop("config.itm"), r"missing \['itm'\]"),

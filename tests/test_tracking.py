@@ -3,6 +3,7 @@ import gc
 import importlib
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,30 +331,65 @@ def _count_ops(monkeypatch, run):
 
 
 def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
-    # the fused layout ops and the on-demand mask heads brought a step from
-    # 1,020 ops to 798, and a 24-frame clip from 186.5 ops a frame to 137
+    # exact counts: an upper bound alone also passes when ops bypass the
+    # patched _make and none are counted
     model = toy_model()
     clip, expr, gts = toy_clip(frames=5)
     opt = AdamW(model.trainable_params(), default_lrs())
     step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
     step()
-    assert _count_ops(monkeypatch, step).total() <= 800
+    assert _count_ops(monkeypatch, step).total() == 570
     long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
-    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() <= 140 * 24
+    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 2245
 
 
-def test_fused_attention_and_losses_cut_the_op_counts(monkeypatch):
-    # one op per attention call (beside its k and v projections) and one per
-    # dice and focal loss: a step went from 798 ops to 570, and a 24-frame
-    # clip from 137 ops a frame to 93.5
+def _op_tensors():
+    """Every op output alive in the process."""
+    return [o for o in gc.get_objects() if isinstance(o, Tensor) and o._op != "leaf"]
+
+
+def test_backward_frees_the_graph_it_walks():
     model = toy_model()
-    clip, expr, gts = toy_clip(frames=5)
-    opt = AdamW(model.trainable_params(), default_lrs())
-    step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
-    step()
-    assert _count_ops(monkeypatch, step).total() <= 570
-    long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
-    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() <= 94 * 24
+    clip, expr, gts = toy_clip()
+    gc.collect()
+    before = _op_tensors()   # held, so no id below is reused
+    known = {id(t) for t in before}
+    loss = clip_loss(model, clip.frames, expr, gts, LossConfig())[0]
+    assert len([t for t in _op_tensors() if id(t) not in known]) > 500
+    loss.backward()
+    assert [t for t in _op_tensors() if id(t) not in known] == [loss]
+    assert loss._parents == () and model.params["itm.fc1.weight"].grad is not None
+
+
+def test_backward_peaks_near_the_forward_graph():
+    # the walk frees activations and intermediate gradients as it goes, so
+    # it adds little beyond the leaves' gradients to the forward graph
+    model = toy_model()
+    clip, expr, gts = toy_clip()
+    clip_loss(model, clip.frames, expr, gts, LossConfig())   # fill the resize caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = clip_loss(model, clip.frames, expr, gts, LossConfig())[0]
+        graph = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * graph
+
+
+def test_a_second_backward_through_a_graph_raises():
+    model = toy_model()
+    clip, expr, gts = toy_clip()
+    loss = clip_loss(model, clip.frames, expr, gts, LossConfig())[0]
+    loss.backward()
+    grads = {n: p.grad for n, p in model.params.items()}
+    with pytest.raises(RuntimeError, match="backward already ran through this graph"):
+        loss.backward()
+    assert all(model.params[n].grad is g for n, g in grads.items())
 
 
 def test_perfbench_tracer_finds_its_entry_points_and_counts_ops(monkeypatch):
