@@ -292,9 +292,15 @@ class Tensor:
         return self.transpose(axes)
 
     def __getitem__(self, idx):
+        # basic indices only: no element is read twice, so backward is a plain +=
+        for i in idx if isinstance(idx, tuple) else (idx,):
+            basic = i is None or i is Ellipsis or isinstance(i, (slice, int, np.integer))
+            if isinstance(i, bool) or not basic:
+                raise DimensionError(f"getitem takes basic indices only, not {type(i).__name__}")
+
         def bwd(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
+            full[idx] += g
             self._accum(full)
 
         return _record(self.data[idx], (self,), "getitem", bwd)

@@ -54,13 +54,15 @@ class AdamW:
         """One update of every parameter, run over each group's parameters
         at once: every expression is elementwise, so each number is computed
         as by a per-parameter loop. Reads each `p.data` afresh and rebinds
-        it to a slice of the group's result. Raises NonFiniteError naming
-        the group, before touching it, when its new second moment or values
-        are not finite (an overflowing gradient or g * g)."""
-        self.t += 1
+        it to a slice of the group's result. Applies wholly or not at all:
+        raises NonFiniteError naming the first group whose new second moment
+        or values are not finite (an overflowing gradient or g * g), before
+        any parameter, moment or `t` changes."""
+        t = self.t + 1
         b1, b2 = self.betas
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        c1 = 1.0 - b1 ** t
+        c2 = 1.0 - b2 ** t
+        staged = []
         for group in self._groups:
             ps, dtype = group.params, group.m.dtype
             g = np.concatenate([np.zeros(p.data.size, dtype) if p.grad is None
@@ -73,9 +75,12 @@ class AdamW:
             new = data - lr * (update + self.weight_decay * data)
             if not (np.isfinite(v).all() and np.isfinite(new).all()):
                 raise NonFiniteError(f"AdamW update of group '{group.module}' is not finite")
+            staged.append((group, m, v, new))
+        self.t = t
+        for group, m, v, new in staged:
             group.m, group.v = m, v
             start = 0
-            for p in ps:
+            for p in group.params:
                 stop = start + p.data.size
                 p.data = new[start:stop].reshape(p.data.shape)
                 start = stop

@@ -1,4 +1,5 @@
-"""Track-token propagation and the online segmentation / training loops."""
+"""Track-token propagation, and the one online frame loop that inference
+(`segment_clip`) and training (`clip_loss`) share."""
 
 import contextlib
 import gc
@@ -24,19 +25,6 @@ def track_update(main_token_out, params):
     return layer_norm(main_token_out + r, params["itm.ln.gamma"], params["itm.ln.beta"])
 
 
-def _frame_forward(model, frame, sparse, track):
-    ff = model.encode_frame(frame)
-    dense = model.dense_embeddings(ff, sparse)
-    return model.decode(ff, sparse, dense, track)
-
-
-def _next_track(model, out, detach=False):
-    if not model.cfg.itm:
-        return None
-    track = track_update(out.main_token_out, model.params)
-    return track.detach() if detach else track
-
-
 def select_mask(out, h, w):
     """The h x w binary mask of the decoder output with the highest quality
     score (the first on a tie): resized, then thresholded at 0."""
@@ -45,38 +33,38 @@ def select_mask(out, h, w):
     return (logits.data[0] > 0).astype(np.uint8)
 
 
+def _decoded_frames(model, frames, sparse, frames_per_pass, detach_track=False):
+    """Yield the DecoderOutput of each of `frames` in order.
+
+    Encodes and fuses up to `frames_per_pass` frames at once, then decodes
+    them one by one, each with the track token of the frame before it
+    (detached if `detach_track`); no track update follows the last frame. A
+    pass's features are freed before the next pass is encoded."""
+    track = None
+    for start in range(0, len(frames), frames_per_pass):
+        stack = frames[start:start + frames_per_pass]
+        ff = model.encode_frame(stack)
+        dense = model.dense_embeddings(ff, sparse)
+        for t in range(len(stack)):
+            out = model.decode(ff[t], sparse, None if dense is None else dense[t], track)
+            yield out
+            if model.cfg.itm and start + t + 1 < len(frames):
+                track = track_update(out.main_token_out, model.params)
+                track = track.detach() if detach_track else track
+        del ff, dense
+
+
 def segment_clip(model, clip, expr):
     """Segment every frame online; returns a list of H x W binary masks.
 
-    Encodes and fuses up to FRAMES_PER_PASS frames at a time, then decodes
-    them one by one; frame t's mask depends only on frames 0..t. Runs under
-    `no_grad`: no graph is recorded, and the track token carries only the
-    previous frame's values forward."""
+    Encodes and fuses FRAMES_PER_PASS frames at a time; frame t's mask
+    depends only on frames 0..t. Runs under `no_grad`: no graph is recorded,
+    and the track token carries only the previous frame's values forward."""
     with no_grad():
-        text = model.encode_text(expr)
-        sparse = model.sparse_embeddings(text)
-        track = None
-        masks = []
-        for start in range(0, len(clip.frames), FRAMES_PER_PASS):
-            pass_masks, track = _segment_pass(
-                model, clip.frames[start:start + FRAMES_PER_PASS], sparse, track)
-            masks += pass_masks
-    return masks
-
-
-def _segment_pass(model, frames, sparse, track):
-    """Encode and fuse `frames` at once, then decode them in order; returns
-    their masks and the track token for the next frame. The pass's features
-    are freed on return, before the next pass is encoded."""
-    ff = model.encode_frame(frames)
-    dense = model.dense_embeddings(ff, sparse)
-    masks = []
-    for t, frame in enumerate(frames):
-        _, h, w = frame.shape
-        out = model.decode(ff[t], sparse, None if dense is None else dense[t], track)
-        masks.append(select_mask(out, h, w))
-        track = _next_track(model, out)
-    return masks, track
+        sparse = model.sparse_embeddings(model.encode_text(expr))
+        decoded = _decoded_frames(model, clip.frames, sparse, FRAMES_PER_PASS)
+        return [select_mask(out, *frame.shape[1:])
+                for frame, out in zip(clip.frames, decoded)]
 
 
 def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
@@ -85,14 +73,12 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
     detach_track cuts the gradient between frames.
 
     Returns (loss Tensor, report dict)."""
-    text = model.encode_text(expr)
-    sparse = model.sparse_embeddings(text)
-    track = None
+    sparse = model.sparse_embeddings(model.encode_text(expr))
     total = None
     report = {"dice": 0.0, "focal": 0.0, "iou": 0.0}
-    for frame, gt in zip(frames, gt_masks):
+    decoded = _decoded_frames(model, frames, sparse, 1, detach_track)
+    for frame, gt, out in zip(frames, gt_masks, decoded):
         _, h, w = frame.shape
-        out = _frame_forward(model, frame, sparse, track)
         mask = out.mask(0)
         logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w).reshape(h, w)
         gt_arr = np.asarray(gt, dtype=float)
@@ -106,7 +92,6 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
         report["dice"] += float(d.data)
         report["focal"] += float(f.data)
         report["iou"] += float(iou_term.data)
-        track = _next_track(model, out, detach_track)
     report["total"] = float(total.data)
     return total, report
 

@@ -215,6 +215,33 @@ def test_concat_and_getitem_gradients():
     assert grad_check(f, Tensor([1.0, -2.0, 3.0])) < 1e-8
 
 
+@pytest.mark.parametrize("idx", [1, np.int64(-1), slice(1, None, 2), (1, slice(None, 2)),
+                                 (Ellipsis, 0), (None, 0, slice(None), -1), ()],
+                         ids=["int", "np_int", "slice", "tuple", "ellipsis", "none", "empty"])
+def test_getitem_backward_bytes_equal_add_at(idx):
+    # a basic index reads no element twice, so `full[idx] += g` gives add.at's
+    # bytes, signed zeros included (0.0 + -0.0 is 0.0 in both)
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+    out = x[idx]
+    g = rng.normal(size=out.shape)
+    g.reshape(-1)[::3] = -0.0
+    (out * Tensor(g)).sum().backward()
+    want = np.zeros_like(x.data)
+    np.add.at(want, idx, g)
+    assert x.grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("idx", [[0, 1], np.array([0, 0]), np.array([True, False, True]),
+                                 True, (0, [1, 2]), 1.0],
+                         ids=["list", "int_array", "bool_array", "bool", "tuple_with_list",
+                              "float"])
+def test_getitem_rejects_advanced_indices(idx):
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    with pytest.raises(DimensionError, match="basic indices only"):
+        x[idx]
+
+
 def test_backward_requires_scalar():
     with pytest.raises(DimensionError):
         Tensor([1.0, 2.0], requires_grad=True).backward()

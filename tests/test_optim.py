@@ -62,22 +62,24 @@ def test_unknown_group_fails_at_construction():
 @pytest.mark.parametrize("bad", [np.inf, 1e200])
 def test_a_non_finite_update_raises_and_leaves_its_group_as_it_was(bad):
     # inf makes the update NaN; 1e200 overflows g * g, so the second moment
-    # is inf and the update silently 0
-    rng = np.random.default_rng(1)
-    params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in SHAPES.items()}
-    opt = AdamW(params, RATES)
-    for p in params.values():
-        p.grad = rng.normal(size=p.data.shape)
-    opt.step()
-    for p in params.values():
-        p.grad = rng.normal(size=p.data.shape)
-    params["hda.da0.conv.weight"].grad[0, 1] = bad
-    hda = [n for n in SHAPES if module_of(n) == "hda"]
-    before = {n: params[n].data.tobytes() for n in hda}
-    group = next(g for g in opt._groups if g.module == "hda")
-    m, v = group.m.copy(), group.v.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match="AdamW update of group 'hda'"):
-            opt.step()
-    assert {n: params[n].data.tobytes() for n in hda} == before
-    assert group.m.tobytes() == m.tobytes() and group.v.tobytes() == v.tobytes()
+    # is inf and the update silently 0. A step applies wholly or not at all:
+    # the finite groups before 'hda' keep their bytes too, and t stays.
+    for shapes in (SHAPES, {"cmm.w": (3,), "hda.w": (2, 2)}):
+        rng = np.random.default_rng(1)
+        params = {n: Tensor(rng.normal(size=s), requires_grad=True) for n, s in shapes.items()}
+        opt = AdamW(params, RATES)
+        for p in params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        opt.step()
+        for p in params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        next(p for n, p in params.items() if module_of(n) == "hda").grad.flat[1] = bad
+        before = {n: p.data.tobytes() for n, p in params.items()}
+        moments = [(g.m.tobytes(), g.v.tobytes()) for g in opt._groups]
+        assert [g.module for g in opt._groups].index("hda") > 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="AdamW update of group 'hda'"):
+                opt.step()
+        assert {n: p.data.tobytes() for n, p in params.items()} == before
+        assert [(g.m.tobytes(), g.v.tobytes()) for g in opt._groups] == moments
+        assert opt.t == 1

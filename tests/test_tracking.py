@@ -338,9 +338,22 @@ def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
     opt = AdamW(model.trainable_params(), default_lrs())
     step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
     step()
-    assert _count_ops(monkeypatch, step).total() == 570
+    assert _count_ops(monkeypatch, step).total() == 580
     long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
-    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 2245
+    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 2240
+
+
+@pytest.mark.parametrize("frames", [1, 3])
+def test_the_track_update_runs_between_frames_only(monkeypatch, frames):
+    from refvos import tracking
+    model = toy_model()
+    clip, expr, gts = toy_clip(frames=frames)
+    calls = []
+    monkeypatch.setattr(tracking, "track_update",
+                        lambda *a: calls.append(1) or track_update(*a))
+    segment_clip(model, clip, expr)
+    clip_loss(model, clip.frames, expr, gts, LossConfig())
+    assert len(calls) == 2 * (frames - 1)
 
 
 def _op_tensors():
@@ -442,6 +455,61 @@ def test_clip_loss_gradients_are_bitwise_those_of_composite_attention(monkeypatc
     assert model.cfg.itm and grads[0].keys() == grads[1].keys()
     for name, g in grads[0].items():
         assert g.tobytes() == grads[1][name].tobytes(), name
+
+
+def _rank3_clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
+    """clip_loss as it was before training shared the pass loop: each frame
+    encoded on its own as a (3, H, W) array, and a track update after every
+    frame, the last one included."""
+    from refvos.autodiff import bilinear_resize
+    from refvos.losses import dice_loss, focal_loss
+    from refvos.metrics import region_similarity_J
+    sparse = model.sparse_embeddings(model.encode_text(expr))
+    track, total = None, None
+    for frame, gt in zip(frames, gt_masks):
+        _, h, w = frame.shape
+        ff = model.encode_frame(frame)
+        out = model.decode(ff, sparse, model.dense_embeddings(ff, sparse), track)
+        mask = out.mask(0)
+        logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w).reshape(h, w)
+        gt_arr = np.asarray(gt, dtype=float)
+        d = dice_loss(logits.sigmoid(), gt_arr, loss_cfg)
+        f = focal_loss(logits, gt_arr, loss_cfg)
+        target_iou = region_similarity_J((logits.data > 0).astype(np.uint8), gt_arr > 0)
+        iou_term = (out.iou_scores[0] - target_iou) ** 2.0
+        frame_loss = loss_cfg.w_dice * d + loss_cfg.w_focal * f + iou_term.sum()
+        total = frame_loss if total is None else total + frame_loss
+        if model.cfg.itm:
+            track = track_update(out.main_token_out, model.params)
+            track = track.detach() if detach_track else track
+    return total
+
+
+@pytest.mark.parametrize("setting", [
+    {}, {"detach_track": True}, {"itm": False}, {"dtype": np.float32}],
+    ids=["toy", "detach_track", "no_itm", "float32"])
+def test_clip_loss_gradients_are_bitwise_those_of_the_rank3_frame_loop(setting):
+    # training runs the pass loop one (1, 3, H, W) frame at a time; every
+    # gradient must stay that of per-frame calls on (3, H, W) frames
+    setting = dict(setting)
+    detach = setting.pop("detach_track", False)
+    clip, expr, gts = toy_clip(frames=3)
+    rng = np.random.default_rng(6)
+    noise, grads, losses = None, [], []
+    for run in (lambda *a, **kw: clip_loss(*a, **kw)[0], _rank3_clip_loss):
+        model = toy_model(seed=1, **setting)
+        if noise is None:   # nonzero adapters and track update
+            noise = {n: rng.normal(0.0, 0.05, p.shape) for n, p in model.params.items()}
+        for n, p in model.params.items():
+            p.data = p.data + noise[n].astype(p.data.dtype)
+        loss = run(model, clip.frames, expr, gts, LossConfig(), detach_track=detach)
+        loss.backward()
+        losses.append(loss.data.tobytes())
+        grads.append({n: p.grad for n, p in model.params.items() if p.grad is not None})
+    assert losses[0] == losses[1] and grads[0].keys() == grads[1].keys()
+    assert ("itm.fc1.weight" in grads[0]) == (model.cfg.itm and not detach)
+    for name, g in grads[0].items():
+        assert g.dtype == grads[1][name].dtype and g.tobytes() == grads[1][name].tobytes(), name
 
 
 @pytest.mark.parametrize("ablation", [
