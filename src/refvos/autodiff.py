@@ -20,7 +20,7 @@ so the walk frees activations and intermediate gradients as it goes and
 leaves only the output and the leaves' `.grad`. A graph is walked once; a
 graph never walked is freed when its last output is dropped.
 
-`linear` (matmul and bias), `softmax`, `layer_norm`, `conv1x1` and
+`linear` (matmul and bias), `softmax`, `layer_norm` and
 `transposed_conv_upscale` are single fused ops. Each runs the numpy
 expressions of its chain of primitive ops (`x @ W + b`; `exp(x - max) /
 sum`; `(x - mean) * (var + eps) ** -0.5 * gamma + beta`; the reshapes and
@@ -33,7 +33,8 @@ byte-identical; a textbook analytic backward would change their last bits.
 Two pieces are written once: `_softmax` (the shifted exp, its sum and
 reciprocal, and their backward) serves `softmax` and `attention`, and
 `_affine_backward` (the bias gets g, W gets xᵀg, x's gradient is returned)
-serves `linear`, `conv1x1` and both projections of `attention`.
+serves `linear` and both projections of `attention`. The model's features
+are (..., H0*W0, C) patch rows, so a 1x1 convolution over them is `linear`.
 `attention` fuses the query projection, the scaled scores, softmax, the
 weighted sum and the output projection; the key and value projections stay
 `linear` ops, so that a weight shared over frames gathers its gradients in
@@ -534,33 +535,6 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         x._accum(np.broadcast_to(-_unbroadcast(gxc, rs.shape) * inv_n, xd.shape))
 
     return _record(scaled + beta.data, (x, gamma, beta), "layer_norm", bwd)
-
-
-def conv1x1(x, W, b=None):
-    """Per-pixel linear map, as one op: x is (..., C_in, H, W), W is
-    (C_in, C_out). The chain it fuses is `linear(x.reshape(..., C_in, H*W).mT,
-    W, b).mT.reshape(..., C_out, H, W)`."""
-    if x.data.ndim < 3:
-        raise DimensionError("conv1x1: input must be (..., C, H, W)")
-    *lead, cin, h, w = x.shape
-    if cin != W.shape[0]:
-        raise DimensionError(f"conv1x1: channel mismatch ({cin} vs {W.shape[0]})")
-    cout = W.shape[1]
-    swap = (*range(len(lead)), len(lead) + 1, len(lead))   # the axes of .mT
-    x2 = x.data.reshape(*lead, cin, h * w).transpose(swap)
-    xw = np.matmul(x2, W.data)
-    y = xw if b is None else xw + b.data
-
-    def bwd(g):
-        # the chain's order: the reshape and .mT back, linear's backward,
-        # then .mT and the reshape back to x
-        gx = _affine_backward(g.reshape(*lead, cout, h * w).transpose(swap), x2, W, b,
-                              x.requires_grad)
-        if gx is not None:
-            x._accum(gx.transpose(swap).reshape(x.shape))
-
-    return _record(y.transpose(swap).reshape(*lead, cout, h, w),
-                   (x, W) if b is None else (x, W, b), "conv1x1", bwd)
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,6 +1,8 @@
 """Prompt-token mask decoder: a small two-way transformer over learned
 output tokens and the fused image embedding, followed by 4x upscaling,
-per-token mask kernels, and a mask-quality head."""
+per-token mask kernels, and a mask-quality head. The image embedding is the
+encoder's (H0*W0, C_v) patch rows until the upscaling, the one step that
+reads it as a (C_v, H0, W0) map."""
 
 from dataclasses import dataclass
 
@@ -30,22 +32,26 @@ class DecoderOutput:
         return (k.reshape(1, c_up) @ up.reshape(c_up, h * w)).reshape(h, w)
 
 
-def decode(visual, sparse, dense, track, params, include_sentence_token=True):
+def decode(visual, grid, sparse, dense, track, params, include_sentence_token=True):
     """Produce the output tokens and upscaled embedding that give 4 mask
     logit maps (see DecoderOutput.mask), their quality scores, and the
     post-decoder state of the main mask token.
 
-    visual: (C_v, H0, W0); sparse: the TextEmbeddings prompts; dense: a
-    (C_v, H0, W0) Tensor or None; track: (C_v,) Tensor or None. The dense
-    map conditions the decoder additively.
+    visual: (H0*W0, C_v) patch rows of the grid (H0, W0); sparse: the
+    TextEmbeddings prompts; dense: rows of visual's shape, or None; track:
+    (C_v,) Tensor or None. The dense rows condition the decoder additively.
     """
-    c_v, h0, w0 = visual.shape
-    emb = visual
+    h0, w0 = grid
+    if visual.data.ndim != 2 or visual.shape[0] != h0 * w0:
+        raise DimensionError(f"decode: visual must be ({h0 * w0}, C) rows of the "
+                             f"{h0}x{w0} grid, not {visual.shape}")
+    c_v = visual.shape[1]
+    image = visual
     if dense is not None:
         if dense.shape != visual.shape:
-            raise DimensionError("decode: dense map shape mismatch")
-        emb = emb + dense
-    emb = emb + Tensor(sinusoidal_grid(c_v, h0, w0, visual.dtype).T.reshape(c_v, h0, w0))
+            raise DimensionError("decode: dense rows shape mismatch")
+        image = image + dense
+    image = image + Tensor(sinusoidal_grid(c_v, h0, w0, visual.dtype))   # (HW, C_v)
 
     parts = [params["decoder.token.iou"].reshape(1, c_v),
              params["decoder.token.main"].reshape(1, c_v)]
@@ -59,7 +65,6 @@ def decode(visual, sparse, dense, track, params, include_sentence_token=True):
     parts.append(sparse.words)
     tokens = concat(parts, axis=0)
 
-    image = emb.reshape(c_v, h0 * w0).transpose(1, 0)   # (HW, C_v)
     for layer in range(2):
         pre = f"decoder.layer{layer}."
         tokens = layer_norm(tokens + attention(tokens, tokens, params, pre + "self."),
@@ -70,7 +75,7 @@ def decode(visual, sparse, dense, track, params, include_sentence_token=True):
     tokens = layer_norm(tokens + attention(tokens, image, params, "decoder.final_attn."),
                         params["decoder.final_ln.gamma"], params["decoder.final_ln.beta"])
 
-    up = transposed_conv_upscale(image.transpose(1, 0).reshape(c_v, h0, w0),
+    up = transposed_conv_upscale(image.mT.reshape(c_v, h0, w0),
                                  params["decoder.up1.weight"], params["decoder.up1.bias"]).relu()
     up = transposed_conv_upscale(up, params["decoder.up2.weight"], params["decoder.up2.bias"]).relu()
     iou = linear(tokens[0], params["decoder.iou_head.fc1.weight"],

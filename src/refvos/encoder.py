@@ -1,4 +1,8 @@
-"""Frame encoding with adapter tuning, and referring-expression embedding."""
+"""Frame encoding with adapter tuning, and referring-expression embedding.
+
+A frame's features are patch rows: (..., H0*W0, C), row y*W0 + x the patch
+at (y, x) of the H0 x W0 grid, as SAM's decoder flattens its image
+embedding into tokens. They stay rows through fusion and the decoder."""
 
 import functools
 import hashlib
@@ -14,25 +18,25 @@ class ConfigurationError(ValueError):
     pass
 
 
+# the longest referring expression accepted
+MAX_WORDS = 32
+
+
 @dataclass
 class FrameFeatures:
-    final: Tensor      # (..., C_v, H0, W0)
-    mids: list         # 3 x (..., C_mid, H0, W0)
-
-    def __getitem__(self, t):
-        """The features of frame t of a stack."""
-        return FrameFeatures(final=self.final[t], mids=[m[t] for m in self.mids])
+    final: Tensor      # (..., H0*W0, C_v): the neck's output rows
+    mids: list         # 3 x (..., H0*W0, C_mid): the tapped blocks' token rows
+    grid: tuple        # (H0, W0), the patch grid the rows flatten
 
 
 @dataclass
 class ReferringExpression:
     words: list
-    max_words: int = 32
 
     def __post_init__(self):
         if not self.words:
             raise ValueError("referring expression must contain at least one word")
-        if len(self.words) > self.max_words:
+        if len(self.words) > MAX_WORDS:
             raise ValueError("referring expression too long")
         for w in self.words:
             if not w or w != w.lower():
@@ -82,10 +86,11 @@ def attention(q_in, kv_in, params, prefix):
 
 def encode_frame(frame, cfg, params):
     """Run a frame (a (3, H, W) array in [0, 1]) or a stack of equally sized
-    frames ((..., 3, H, W), or a sequence of frames) through the encoder.
-    Frames do not interact: the features keep the leading axes, and each
-    frame's features equal those of its own rank-3 call bit for bit. `cfg`
-    is a ModelConfig; with cfg.adapter false the adapters are skipped."""
+    frames ((..., 3, H, W), or a sequence of frames) through the encoder;
+    returns the FrameFeatures, as patch rows. Frames do not interact: the
+    features keep the leading axes, and each frame's features equal those of
+    its own rank-3 call bit for bit. `cfg` is a ModelConfig; with cfg.adapter
+    false the adapters are skipped."""
     try:
         frame = np.asarray(frame)
     except ValueError as exc:    # a sequence of frames of mixed sizes
@@ -123,11 +128,9 @@ def encode_frame(frame, cfg, params):
         if i in cfg.tap_indices:
             taps[i] = tokens
 
-    mids = [taps[i].mT.reshape(*lead, d, h0, w0) for i in cfg.tap_indices]
     neck = linear(tokens, params["encoder.neck.proj.weight"], params["encoder.neck.proj.bias"])
-    neck = layer_norm(neck, params["encoder.neck.ln.gamma"], params["encoder.neck.ln.beta"])
-    final = neck.mT.reshape(*lead, cfg.channels, h0, w0)
-    return FrameFeatures(final=final, mids=mids)
+    final = layer_norm(neck, params["encoder.neck.ln.gamma"], params["encoder.neck.ln.beta"])
+    return FrameFeatures(final=final, mids=[taps[i] for i in cfg.tap_indices], grid=(h0, w0))
 
 
 # ---- text -----------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Text-to-prompt projection and pixel-level vision-language fusion."""
+"""Text-to-prompt projection and pixel-level vision-language fusion, over
+the encoder's (..., H0*W0, C) patch rows."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, concat, conv1x1, linear, softmax
+from .autodiff import DimensionError, Tensor, concat, linear, softmax
 from .encoder import TextEmbeddings
 
 
@@ -30,31 +31,31 @@ def cross_modal_project(text, params):
 
 
 def dense_attention(feat, sparse, params, prefix="hda.da0."):
-    """Pixel-to-token attention producing a dense conditioning map;
-    returns the map, (..., C_v, H0, W0), and its DenseAttentionTrace.
+    """Pixel-to-token attention producing dense conditioning rows; returns
+    them, (..., H0*W0, C_v), and their DenseAttentionTrace.
 
-    feat: (..., C_v, H0, W0), frames along the leading axes. Each pixel
-    attends over [sentence; words] with scaled dot-product similarity, and
-    the attended token mixture is fused back with the visual features
-    through a 1x1 convolution.
+    feat: (..., H0*W0, C_v) patch rows, frames along the leading axes. Each
+    pixel attends over [sentence; words] with scaled dot-product similarity,
+    and `linear` fuses the attended token mixture back with the pixel's
+    features (a 1x1 convolution over rows).
     """
-    *lead, c_v, h0, w0 = feat.shape
+    c_v = feat.shape[-1]
     if sparse.words.shape[-1] != c_v:
         raise DimensionError("dense_attention: token width must equal feature channels")
     tokens = concat([sparse.sentence.reshape(1, c_v), sparse.words], axis=0)   # (L+1, C_v)
-    pixels = feat.reshape(*lead, c_v, h0 * w0).mT                              # (..., HW, C_v)
-    attn = softmax(pixels @ tokens.T * (1.0 / np.sqrt(c_v)), axis=-1)
+    attn = softmax(feat @ tokens.T * (1.0 / np.sqrt(c_v)), axis=-1)
     attended = attn @ tokens                                                   # (..., HW, C_v)
-    fused = concat([attended.mT.reshape(*lead, c_v, h0, w0), feat], axis=-3)
-    dense = conv1x1(fused, params[prefix + "conv.weight"], params[prefix + "conv.bias"])
+    dense = linear(concat([attended, feat], axis=-1),
+                   params[prefix + "conv.weight"], params[prefix + "conv.bias"])
     return dense, DenseAttentionTrace(tokens=tokens, attn=attn, attended=attended)
 
 
 def hierarchical_dense_attention(ff, sparse, params):
-    """Sum of dense attention over the final map and the three mid maps."""
+    """Sum of dense attention over the final rows and the three mid rows,
+    each mid reduced to width C_v by a `linear` first."""
     total, _ = dense_attention(ff.final, sparse, params, prefix="hda.da0.")
     for i, mid in enumerate(ff.mids, start=1):
-        reduced = conv1x1(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
+        reduced = linear(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
         branch, _ = dense_attention(reduced, sparse, params, prefix=f"hda.da{i}.")
         total = total + branch
     return total

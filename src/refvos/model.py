@@ -242,8 +242,8 @@ class Model:
             return dense_attention(ff.final, sparse, self.params)[0]
         return None
 
-    def decode(self, ff, sparse, dense, track):
-        return decode(ff.final, sparse, dense, track, self.params,
+    def decode(self, final, grid, sparse, dense, track):
+        return decode(final, grid, sparse, dense, track, self.params,
                       include_sentence_token=self.cfg.include_sentence_token)
 
     # ---- state -----------------------------------------------------------

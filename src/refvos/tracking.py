@@ -46,7 +46,8 @@ def _decoded_frames(model, frames, sparse, frames_per_pass, detach_track=False):
         ff = model.encode_frame(stack)
         dense = model.dense_embeddings(ff, sparse)
         for t in range(len(stack)):
-            out = model.decode(ff[t], sparse, None if dense is None else dense[t], track)
+            out = model.decode(ff.final[t], ff.grid, sparse,
+                               None if dense is None else dense[t], track)
             yield out
             if model.cfg.itm and start + t + 1 < len(frames):
                 track = track_update(out.main_token_out, model.params)

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from refvos.autodiff import Tensor, conv1x1
+from refvos.autodiff import Tensor, linear
 from refvos.data import SyntheticSpec, generate_clip, VideoClip
 from refvos.decoder import decode
 from refvos.encoder import TextEmbeddings, encode_frame
@@ -43,7 +43,7 @@ def _toy_model(seed=0, **kw):
 
 def _hda_params(rng, c_v, c_mid):
     """Random weights and biases of the four dense-attention branches and the
-    three mid-map reductions."""
+    three mid-row reductions."""
     params = {}
     for name, n_in in [(f"hda.da{i}.conv", 2 * c_v) for i in range(4)] + \
             [(f"hda.reduce{i}", c_mid) for i in (1, 2, 3)]:
@@ -106,25 +106,24 @@ def test_acceptance_1_gradient_integrity():
 # 2 -------------------------------------------------------------------------
 
 def _brute_force_dense(feat, sentence, words, W, b):
-    c_v, h0, w0 = feat.shape
+    """feat: (pixels, C_v) rows."""
+    n_pix, c_v = feat.shape
     tokens = np.concatenate([sentence[None], words], axis=0)
-    attended = np.zeros((h0 * w0, c_v))
-    attn = np.zeros((h0 * w0, tokens.shape[0]))
-    for p in range(h0 * w0):
-        pix = feat.reshape(c_v, -1)[:, p]
+    attended = np.zeros((n_pix, c_v))
+    attn = np.zeros((n_pix, tokens.shape[0]))
+    for p in range(n_pix):
+        pix = feat[p]
         scores = np.array([sum(pix[c] * tokens[j, c] for c in range(c_v)) / np.sqrt(c_v)
                            for j in range(tokens.shape[0])])
         e = np.exp(scores - scores.max())
         attn[p] = e / e.sum()
         for c in range(c_v):
             attended[p, c] = sum(attn[p, j] * tokens[j, c] for j in range(tokens.shape[0]))
-    stacked = np.concatenate([attended.T.reshape(c_v, h0, w0), feat], axis=0)
-    dense = np.zeros((c_v, h0, w0))
-    for co in range(c_v):
-        for y in range(h0):
-            for x in range(w0):
-                dense[co, y, x] = b[co] + sum(stacked[ci, y, x] * W[ci, co]
-                                              for ci in range(2 * c_v))
+    dense = np.zeros((n_pix, c_v))
+    for p in range(n_pix):
+        stacked = list(attended[p]) + list(feat[p])
+        for co in range(c_v):
+            dense[p, co] = b[co] + sum(stacked[ci] * W[ci, co] for ci in range(2 * c_v))
     return dense, attn
 
 
@@ -135,7 +134,7 @@ def test_acceptance_2_dense_attention_oracle():
         c_v = int(rng.integers(1, 9))
         h0, w0 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         length = int(rng.integers(1, 4))
-        feat = rng.normal(size=(c_v, h0, w0))
+        feat = rng.normal(size=(h0 * w0, c_v))
         sparse = _make_sparse(rng, length, c_v)
         params = _hda_params(rng, c_v, c_v)
         out, trace = dense_attention(Tensor(feat), sparse, params)
@@ -157,10 +156,10 @@ def test_acceptance_3_attention_rows_normalized():
         c_v, c_mid = 8, 4
         params = _hda_params(rng, c_v, c_mid)
         sparse = _make_sparse(rng, int(rng.integers(1, 4)), c_v)
-        feats = [Tensor(rng.normal(size=(c_v, 3, 3)))] + \
-                [conv1x1(Tensor(rng.normal(size=(c_mid, 3, 3))),
-                         params[f"hda.reduce{i}.weight"],
-                         params[f"hda.reduce{i}.bias"]) for i in (1, 2, 3)]
+        feats = [Tensor(rng.normal(size=(9, c_v)))] + \
+                [linear(Tensor(rng.normal(size=(9, c_mid))),
+                        params[f"hda.reduce{i}.weight"],
+                        params[f"hda.reduce{i}.bias"]) for i in (1, 2, 3)]
         for i, feat in enumerate(feats):
             _, trace = dense_attention(feat, sparse, params, prefix=f"hda.da{i}.")
             worst = max(worst, float(np.abs(trace.attn.data.sum(axis=-1) - 1.0).max()))
@@ -178,14 +177,14 @@ def test_acceptance_4_hda_decomposition():
         c_v, c_mid = 8, 4
         params = _hda_params(rng, c_v, c_mid)
         sparse = _make_sparse(rng, 2, c_v)
-        ff = FrameFeatures(final=Tensor(rng.normal(size=(c_v, 3, 3))),
-                           mids=[Tensor(rng.normal(size=(c_mid, 3, 3)))
-                                 for _ in range(3)])
+        ff = FrameFeatures(final=Tensor(rng.normal(size=(9, c_v))),
+                           mids=[Tensor(rng.normal(size=(9, c_mid)))
+                                 for _ in range(3)], grid=(3, 3))
         total = hierarchical_dense_attention(ff, sparse, params)
         acc = dense_attention(ff.final, sparse, params, prefix="hda.da0.")[0].data
         for i, mid in enumerate(ff.mids, start=1):
-            red = conv1x1(mid, params[f"hda.reduce{i}.weight"],
-                          params[f"hda.reduce{i}.bias"])
+            red = linear(mid, params[f"hda.reduce{i}.weight"],
+                         params[f"hda.reduce{i}.bias"])
             acc = acc + dense_attention(red, sparse, params,
                                         prefix=f"hda.da{i}.")[0].data
         ok = ok and np.array_equal(total.data, acc)
@@ -235,11 +234,11 @@ def test_acceptance_6_zero_init_transparency():
 
     rng = np.random.default_rng(7)
     params = model.params
-    visual = Tensor(rng.normal(size=(32, 4, 4)))
+    visual = Tensor(rng.normal(size=(16, 32)))
     sparse = _make_sparse(rng, 2, 32)
-    zero = Tensor(np.zeros((32, 4, 4)))
-    a = decode(visual, sparse, zero, None, params)
-    b = decode(visual, sparse, None, None, params)
+    zero = Tensor(np.zeros((16, 32)))
+    a = decode(visual, (4, 4), sparse, zero, None, params)
+    b = decode(visual, (4, 4), sparse, None, None, params)
     dec_ok = all(np.array_equal(a.mask(i).data, b.mask(i).data) for i in range(4)) \
         and np.array_equal(a.iou_scores.data, b.iou_scores.data)
     _report(6, "zero-init adapters and zero dense map are transparent",
@@ -334,7 +333,7 @@ def test_acceptance_9_online_causality():
     text = model.encode_text(expr)
     sparse = model.sparse_embeddings(text)
     ff = model.encode_frame(clip.frames[0])
-    out = model.decode(ff, sparse, model.dense_embeddings(ff, sparse), None)
+    out = model.decode(ff.final, ff.grid, sparse, model.dense_embeddings(ff, sparse), None)
     from refvos.autodiff import bilinear_resize
     idx = int(np.argmax(out.iou_scores.data))
     logits = bilinear_resize(out.mask(idx).reshape(1, 32, 32), 64, 64)

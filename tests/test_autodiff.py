@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from refvos.autodiff import (DimensionError, NonFiniteError, Tensor, attention,
-                             bilinear_resize, concat, conv1x1, grad_check,
-                             layer_norm, linear, no_grad, softmax,
-                             transposed_conv_upscale)
+                             bilinear_resize, concat, grad_check, layer_norm,
+                             linear, no_grad, softmax, transposed_conv_upscale)
 
 
 def test_linear_identity():
@@ -58,45 +57,6 @@ def test_layer_norm_definition():
     var = x.var(-1, keepdims=True)
     expect = (x - mu) / np.sqrt(var + 1e-6) * g + b
     assert np.allclose(y.data, expect)
-
-
-def test_conv1x1_matches_linear_on_single_pixel():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(5, 1, 1))
-    w, b = rng.normal(size=(5, 3)), rng.normal(size=3)
-    y = conv1x1(Tensor(x), Tensor(w), Tensor(b))
-    z = linear(Tensor(x[:, 0, 0]), Tensor(w), Tensor(b))
-    assert np.allclose(y.data[:, 0, 0], z.data)
-
-
-def test_conv1x1_matches_loop_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        cin, cout = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        x = rng.normal(size=(cin, h, w))
-        W, b = rng.normal(size=(cin, cout)), rng.normal(size=cout)
-        y = conv1x1(Tensor(x), Tensor(W), Tensor(b)).data
-        expect = np.zeros((cout, h, w))
-        for co in range(cout):
-            for i in range(h):
-                for j in range(w):
-                    expect[co, i, j] = b[co] + sum(
-                        x[ci, i, j] * W[ci, co] for ci in range(cin))
-        assert np.allclose(y, expect, atol=0, rtol=0) or np.allclose(y, expect, atol=1e-12)
-
-
-def test_conv1x1_stack_equals_per_frame_calls():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 3, 5, 4, 6))
-    W, b = Tensor(rng.normal(size=(5, 7))), Tensor(rng.normal(size=7))
-    y = conv1x1(Tensor(x), W, b)
-    assert y.shape == (2, 3, 7, 4, 6)
-    for i in range(2):
-        for t in range(3):
-            assert np.array_equal(y.data[i, t], conv1x1(Tensor(x[i, t]), W, b).data)
-    assert grad_check(lambda v: (conv1x1(v.reshape(2, 5, 2, 2), W, b) ** 2.0).sum(),
-                      Tensor(rng.normal(size=40))) < 1e-6
 
 
 def bilinear_oracle(x, out_h, out_w):
@@ -195,7 +155,7 @@ def test_grad_check_through_spatial_ops():
     bt = Tensor(rng.normal(size=2))
 
     def f(x):
-        y = conv1x1(x.reshape(2, 3, 3), W)
+        y = linear(x.reshape(9, 2), W).mT.reshape(2, 3, 3)
         y = transposed_conv_upscale(y, Wt, bt)
         return bilinear_resize(y, 4, 5).sum()
 
@@ -407,7 +367,7 @@ def _every_fused_op(x, w):
     prob = x * 0.2
     target = np.array([[1.0, 0.0], [0.0, 1.0]])
     return [linear(x, w, x[0]), softmax(x), layer_norm(x, x[0], x[1]),
-            attention(x, w, x[0], x, x, w, x[1]), conv1x1(cube, w, x[0]),
+            attention(x, w, x[0], x, x, w, x[1]),
             transposed_conv_upscale(cube, concat([cube, cube], axis=1).reshape(2, 1, 2, 2),
                                     x[0][:1]),
             concat([x, w], axis=1), dice_loss(prob, target, LossConfig()),
@@ -423,7 +383,7 @@ def test_ops_over_inputs_without_gradient_record_nothing():
     assert all(_records(t) for t in _every_op(xg) + _every_fused_op(xg, wg))
     with no_grad():
         outs += _every_op(xg) + _every_fused_op(xg, wg)
-    assert len(outs) == 2 * (14 + 9)
+    assert len(outs) == 2 * (14 + 8)
     for t in outs:
         assert t._parents == () and t._backward is None and not t.requires_grad, t._op
     # a parameter that needs no gradient gets none when another one does
@@ -464,12 +424,6 @@ def test_fused_layer_norm_raises_when_its_variance_overflows():
             _layer_norm_composite(x, gamma, beta)
         with pytest.raises(NonFiniteError, match="layer_norm"):
             layer_norm(x, gamma, beta)
-
-
-def _conv1x1_composite(x, W, b=None):
-    *lead, cin, h, w = x.shape
-    y = linear(x.reshape(*lead, cin, h * w).mT, W, b)
-    return y.mT.reshape(*lead, W.shape[1], h, w)
 
 
 def _upscale_composite(x, W, b=None):
@@ -516,19 +470,6 @@ DTYPES = [(np.float64, np.float64), (np.float32, np.float32), (np.float64, np.fl
 
 
 @pytest.mark.parametrize("x_dtype, w_dtype", DTYPES)
-@pytest.mark.parametrize("x_shape", [(6, 3, 4), (2, 3, 6, 3, 4)])
-@pytest.mark.parametrize("with_bias", [False, True])
-def test_fused_conv1x1_is_bitwise_the_composite(x_dtype, w_dtype, x_shape, with_bias):
-    rng = np.random.default_rng(14)
-    arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 6))]
-    if with_bias:
-        arrays.append(rng.normal(size=6))
-    _assert_bitwise(conv1x1, _conv1x1_composite, arrays)
-    arrays[1:] = [rng.normal(size=(6, 5))] + [rng.normal(size=5)] * with_bias
-    _assert_twice_bitwise(conv1x1, _conv1x1_composite, arrays, x_dtype, w_dtype, seed=1)
-
-
-@pytest.mark.parametrize("x_dtype, w_dtype", DTYPES)
 @pytest.mark.parametrize("with_bias", [False, True])
 def test_fused_transposed_conv_upscale_is_bitwise_the_composite(x_dtype, w_dtype, with_bias):
     rng = np.random.default_rng(15)
@@ -541,15 +482,9 @@ def test_fused_transposed_conv_upscale_is_bitwise_the_composite(x_dtype, w_dtype
 
 def test_fused_layout_ops_pass_grad_check():
     rng = np.random.default_rng(16)
-    W, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
     Wt, bt = Tensor(rng.normal(size=(4, 3, 2, 2))), Tensor(rng.normal(size=3))
-    x3, x5 = Tensor(rng.normal(size=(4, 2, 3))), Tensor(rng.normal(size=(2, 4, 2, 3)))
-    c1, c2 = Tensor(rng.normal(size=(2, 3, 2, 3))), Tensor(rng.normal(size=(3, 4, 6)))
+    x3, c2 = Tensor(rng.normal(size=(4, 2, 3))), Tensor(rng.normal(size=(3, 4, 6)))
     checks = [
-        (lambda x: (conv1x1(x.reshape(2, 4, 2, 3), W, b) * c1).sum(), 48),
-        (lambda x: (conv1x1(x.reshape(4, 2, 3), W) * c1[0]).sum(), 24),
-        (lambda w: (conv1x1(x5, w.reshape(4, 3), b) * c1).sum(), 12),
-        (lambda v: (conv1x1(x5, W, v) * c1).sum(), 3),
         (lambda x: (transposed_conv_upscale(x.reshape(4, 2, 3), Wt, bt) * c2).sum(), 24),
         (lambda x: (transposed_conv_upscale(x.reshape(4, 2, 3), Wt) * c2).sum(), 24),
         (lambda w: (transposed_conv_upscale(x3, w.reshape(4, 3, 2, 2), bt) * c2).sum(), 48),

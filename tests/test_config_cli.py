@@ -406,6 +406,14 @@ def test_infer_missing_token_exit_code(tmp_path, capsys):
     code = main(["infer", "--checkpoint", str(ckpt),
                  "--clip", str(data / "clip0000"), "--expr", " "])
     assert code == EXIT_FAILURE
+    # so is an expression of more than 32 words, reported in one line
+    capsys.readouterr()
+    code = main(["infer", "--checkpoint", str(ckpt), "--clip", str(data / "clip0000"),
+                 "--expr", " ".join(["red"] * 33), "--out", str(tmp_path / "preds")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAILURE and out == ""
+    assert err == "error: referring expression too long\n"
+    assert not (tmp_path / "preds").exists()
 
 
 def _empty_clip(clip):

@@ -22,18 +22,21 @@ def decoder_params(seed, c_v=C_V):
 
 
 def make_inputs(rng, c_v=C_V, h0=4, w0=4, length=2):
-    visual = Tensor(rng.normal(size=(c_v, h0, w0)))
+    """(H0*W0, C_v) visual and dense rows of the grid (h0, w0), and the
+    sparse prompts. The rows are drawn channel by channel, the order the
+    golden value below was frozen with."""
+    visual = Tensor(rng.normal(size=(c_v, h0 * w0)).T)
     sparse = TextEmbeddings(words=Tensor(rng.normal(size=(length, c_v))),
                             sentence=Tensor(rng.normal(size=c_v)))
-    dense = Tensor(rng.normal(size=(c_v, h0, w0)))
-    return visual, sparse, dense
+    dense = Tensor(rng.normal(size=(c_v, h0 * w0)).T)
+    return visual, (h0, w0), sparse, dense
 
 
 def test_decode_shapes():
     rng = np.random.default_rng(0)
     params = decoder_params(seed=0)
-    visual, sparse, dense = make_inputs(rng, h0=8, w0=8)
-    out = decode(visual, sparse, dense, None, params)
+    visual, grid, sparse, dense = make_inputs(rng, h0=8, w0=8)
+    out = decode(visual, grid, sparse, dense, None, params)
     assert all(out.mask(i).shape == (32, 32) for i in range(4))
     assert out.iou_scores.shape == (4,)
     assert np.all((out.iou_scores.data >= 0) & (out.iou_scores.data <= 1))
@@ -42,9 +45,9 @@ def test_decode_shapes():
 
 def test_decode_deterministic():
     params = decoder_params(seed=1)
-    visual, sparse, dense = make_inputs(np.random.default_rng(2))
-    a = decode(visual, sparse, dense, None, params)
-    b = decode(visual, sparse, dense, None, params)
+    visual, grid, sparse, dense = make_inputs(np.random.default_rng(2))
+    a = decode(visual, grid, sparse, dense, None, params)
+    b = decode(visual, grid, sparse, dense, None, params)
     for i in range(4):
         assert np.array_equal(a.mask(i).data, b.mask(i).data)
     assert np.array_equal(a.iou_scores.data, b.iou_scores.data)
@@ -53,18 +56,30 @@ def test_decode_deterministic():
 def test_decode_track_width_checked():
     rng = np.random.default_rng(3)
     params = decoder_params(seed=3)
-    visual, sparse, dense = make_inputs(rng)
+    visual, grid, sparse, dense = make_inputs(rng)
     with pytest.raises(DimensionError):
-        decode(visual, sparse, dense, Tensor(np.zeros(C_V + 1)), params)
+        decode(visual, grid, sparse, dense, Tensor(np.zeros(C_V + 1)), params)
+
+
+def test_decode_checks_rows_against_the_grid():
+    params = decoder_params(seed=3)
+    visual, grid, sparse, dense = make_inputs(np.random.default_rng(3))
+    for wrong in ((4, 5), (2, 4)):
+        with pytest.raises(DimensionError, match="rows of the"):
+            decode(visual, wrong, sparse, dense, None, params)
+    with pytest.raises(DimensionError, match="rows of the"):
+        decode(visual.reshape(4, 4, C_V), grid, sparse, None, None, params)
+    with pytest.raises(DimensionError, match="dense rows"):
+        decode(visual, grid, sparse, dense[:8], None, params)
 
 
 def test_zero_dense_equals_no_dense():
     rng = np.random.default_rng(4)
     params = decoder_params(seed=4)
-    visual, sparse, _ = make_inputs(rng)
-    zero = Tensor(np.zeros((C_V, 4, 4)))
-    a = decode(visual, sparse, zero, None, params)
-    b = decode(visual, sparse, None, None, params)
+    visual, grid, sparse, _ = make_inputs(rng)
+    zero = Tensor(np.zeros((16, C_V)))
+    a = decode(visual, grid, sparse, zero, None, params)
+    b = decode(visual, grid, sparse, None, None, params)
     for i in range(4):
         assert np.array_equal(a.mask(i).data, b.mask(i).data)
     assert np.array_equal(a.iou_scores.data, b.iou_scores.data)
@@ -78,9 +93,9 @@ def test_zero_track_with_zero_value_projections_is_transparent():
     for name, p in params.items():
         if ".wv." in name:
             p.data = np.zeros_like(p.data)
-    visual, sparse, dense = make_inputs(rng)
-    absent = decode(visual, sparse, dense, None, params)
-    present = decode(visual, sparse, dense, Tensor(np.zeros(C_V)), params)
+    visual, grid, sparse, dense = make_inputs(rng)
+    absent = decode(visual, grid, sparse, dense, None, params)
+    present = decode(visual, grid, sparse, dense, Tensor(np.zeros(C_V)), params)
     for i in range(4):
         assert np.array_equal(absent.mask(i).data, present.mask(i).data)
     assert np.array_equal(absent.iou_scores.data, present.iou_scores.data)
@@ -88,8 +103,8 @@ def test_zero_track_with_zero_value_projections_is_transparent():
 
 def test_decode_golden_regression():
     params = decoder_params(seed=2)
-    visual, sparse, dense = make_inputs(np.random.default_rng(7))
-    out = decode(visual, sparse, dense, None, params)
+    visual, grid, sparse, dense = make_inputs(np.random.default_rng(7))
+    out = decode(visual, grid, sparse, dense, None, params)
     # frozen from the first verified run of this configuration
     assert abs(float(np.abs(out.mask(0).data).sum()) - GOLDEN_MAIN_ABS) < 1e-8
 
@@ -101,14 +116,14 @@ def test_grad_check_decode_to_dice():
     rng = np.random.default_rng(8)
     c_v = 8
     params = decoder_params(seed=8, c_v=c_v)
-    visual, sparse, dense = make_inputs(rng, c_v=c_v, h0=2, w0=2)
+    visual, grid, sparse, dense = make_inputs(rng, c_v=c_v, h0=2, w0=2)
     target = (rng.random((8, 8)) > 0.5).astype(float)
     cfg = LossConfig()
     probe = params["decoder.hyper0.fc3.weight"]
 
     def f(x):
         params["decoder.hyper0.fc3.weight"] = x
-        out = decode(visual, sparse, dense, None, params)
+        out = decode(visual, grid, sparse, dense, None, params)
         return dice_loss(out.mask(0).sigmoid(), target, cfg)
 
     try:
@@ -168,8 +183,8 @@ def eager_masks(out, params):
 def test_reading_mask_0_runs_no_other_hypernetwork(monkeypatch):
     from refvos import autodiff
     params = decoder_params(seed=6)
-    visual, sparse, dense = make_inputs(np.random.default_rng(6))
-    out = decode(visual, sparse, dense, None, params)
+    visual, grid, sparse, dense = make_inputs(np.random.default_rng(6))
+    out = decode(visual, grid, sparse, dense, None, params)
     make, parents = autodiff._make, []
 
     def recording_make(data, ps, op):
@@ -186,8 +201,8 @@ def test_reading_mask_0_runs_no_other_hypernetwork(monkeypatch):
 
 def test_masks_read_on_demand_equal_eager_computation():
     params = decoder_params(seed=7)
-    visual, sparse, dense = make_inputs(np.random.default_rng(7))
-    out = decode(visual, sparse, dense, Tensor(np.ones(C_V)), params)
+    visual, grid, sparse, dense = make_inputs(np.random.default_rng(7))
+    out = decode(visual, grid, sparse, dense, Tensor(np.ones(C_V)), params)
     for i, want in enumerate(eager_masks(out, params)):
         assert out.mask(i).data.tobytes() == want.data.tobytes()
 
@@ -195,10 +210,10 @@ def test_masks_read_on_demand_equal_eager_computation():
 def test_masks_record_a_graph_only_if_decode_did():
     from refvos.autodiff import no_grad
     params = decoder_params(seed=8)
-    visual, sparse, dense = make_inputs(np.random.default_rng(8))
+    visual, grid, sparse, dense = make_inputs(np.random.default_rng(8))
     with no_grad():
-        quiet = decode(visual, sparse, dense, None, params).mask(2)
-    recorded = decode(visual, sparse, dense, None, params).mask(2)
+        quiet = decode(visual, grid, sparse, dense, None, params).mask(2)
+    recorded = decode(visual, grid, sparse, dense, None, params).mask(2)
     assert recorded.requires_grad and recorded._backward is not None
     assert not quiet.requires_grad and quiet._parents == () and quiet._backward is None
     assert recorded.data.tobytes() == quiet.data.tobytes()

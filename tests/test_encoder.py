@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from refvos.autodiff import DimensionError, Tensor, layer_norm, linear
-from refvos.encoder import (ConfigurationError, ReferringExpression,
+from refvos.encoder import (MAX_WORDS, ConfigurationError, ReferringExpression,
                             adapter_forward, encode_frame, encode_text,
                             pool_sentence)
 from refvos.model import Model, ModelConfig
@@ -52,10 +52,11 @@ def test_adapter_blocks_are_latter_half():
 def test_encode_frame_shapes():
     cfg = toy_cfg()
     params = toy_params(cfg)
-    ff = encode_frame(np.random.default_rng(0).random((3, 64, 64)), cfg, params)
-    assert ff.final.shape == (32, 8, 8)
+    ff = encode_frame(np.random.default_rng(0).random((3, 64, 48)), cfg, params)
+    assert ff.grid == (8, 6)
+    assert ff.final.shape == (48, 32)
     assert len(ff.mids) == 3
-    assert all(m.shape == (cfg.token_width, 8, 8) for m in ff.mids)
+    assert all(m.shape == (48, cfg.token_width) for m in ff.mids)
 
 
 def test_encode_frame_default_out_channels_256():
@@ -63,7 +64,7 @@ def test_encode_frame_default_out_channels_256():
                       **SMALL_TEXT)
     params = toy_params(cfg)
     ff = encode_frame(np.random.default_rng(1).random((3, 64, 64)), cfg, params)
-    assert ff.final.shape == (256, 8, 8)
+    assert ff.final.shape == (64, 256)
 
 
 def test_encode_frame_rejects_indivisible_dims():
@@ -81,14 +82,15 @@ def test_encode_frame_stack_equals_per_frame_calls():
     frames = rng.random((2, 3, 3, 64, 32))
     stacked = encode_frame(frames, cfg, params)
     listed = encode_frame(list(frames[1]), cfg, params)
-    assert stacked.final.shape == (2, 3, 32, 8, 4)
+    assert stacked.final.shape == (2, 3, 32, 32) and stacked.grid == (8, 4)
     assert np.array_equal(listed.final.data, stacked.final.data[1])
     for i in range(2):
         for t in range(3):
             one = encode_frame(frames[i, t], cfg, params)
-            assert np.array_equal(stacked[i][t].final.data, one.final.data)
-            for a, b in zip(stacked[i][t].mids, one.mids, strict=True):
-                assert np.array_equal(a.data, b.data)
+            assert one.grid == stacked.grid
+            assert np.array_equal(stacked.final.data[i, t], one.final.data)
+            for a, b in zip(stacked.mids, one.mids, strict=True):
+                assert np.array_equal(a.data[i, t], b.data)
 
 
 def test_encode_frame_rejects_mixed_sizes():
@@ -178,6 +180,9 @@ def test_expression_validation():
         ReferringExpression(words=["The"])
     with pytest.raises(ValueError):
         ReferringExpression(words=["a"] * 40)
+    assert len(ReferringExpression(words=["a"] * MAX_WORDS).words) == 32
+    with pytest.raises(ValueError, match="too long"):
+        ReferringExpression(words=["a"] * 33)
 
 
 def text_table(seed, width=16, vocab_size=4096):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from refvos.autodiff import DimensionError, Tensor, grad_check
+from refvos.autodiff import DimensionError, Tensor, grad_check, linear
 from refvos.encoder import FrameFeatures, TextEmbeddings
 from refvos.fusion import (cross_modal_project, dense_attention,
                            hierarchical_dense_attention)
@@ -39,27 +39,26 @@ def make_sparse(rng, length, c_v):
 
 
 def brute_force_dense(feat, sentence, words, W, b):
-    """Triple-nested-loop oracle over pixels, tokens, channels."""
-    c_v, h0, w0 = feat.shape
+    """Triple-nested-loop oracle over pixels, tokens, channels; feat is
+    (pixels, C_v) rows."""
+    n_pix, c_v = feat.shape
     tokens = np.concatenate([sentence[None], words], axis=0)
     n_tok = tokens.shape[0]
-    attended = np.zeros((h0 * w0, c_v))
-    attn = np.zeros((h0 * w0, n_tok))
-    for p in range(h0 * w0):
-        pix = feat.reshape(c_v, -1)[:, p]
+    attended = np.zeros((n_pix, c_v))
+    attn = np.zeros((n_pix, n_tok))
+    for p in range(n_pix):
+        pix = feat[p]
         scores = np.array([sum(pix[c] * tokens[j, c] for c in range(c_v)) / np.sqrt(c_v)
                            for j in range(n_tok)])
         e = np.exp(scores - scores.max())
         attn[p] = e / e.sum()
         for c in range(c_v):
             attended[p, c] = sum(attn[p, j] * tokens[j, c] for j in range(n_tok))
-    stackd = np.concatenate([attended.T.reshape(c_v, h0, w0), feat], axis=0)
-    dense = np.zeros((c_v, h0, w0))
-    for co in range(c_v):
-        for y in range(h0):
-            for x in range(w0):
-                dense[co, y, x] = b[co] + sum(stackd[ci, y, x] * W[ci, co]
-                                              for ci in range(2 * c_v))
+    dense = np.zeros((n_pix, c_v))
+    for p in range(n_pix):
+        stacked = list(attended[p]) + list(feat[p])
+        for co in range(c_v):
+            dense[p, co] = b[co] + sum(stacked[ci] * W[ci, co] for ci in range(2 * c_v))
     return dense, attn
 
 
@@ -104,7 +103,7 @@ def test_dense_attention_symmetric_single_pixel():
     vec = rng.normal(size=c_v)
     sparse = TextEmbeddings(words=Tensor(vec[None]), sentence=Tensor(vec.copy()))
     params = hda_params(rng, c_v, c_v)
-    _, trace = dense_attention(Tensor(rng.normal(size=(c_v, 1, 1))), sparse, params)
+    _, trace = dense_attention(Tensor(rng.normal(size=(1, c_v))), sparse, params)
     assert np.allclose(trace.attn.data, [[0.5, 0.5]])
 
 
@@ -114,7 +113,7 @@ def test_dense_attention_rows_sum_to_one():
     params = hda_params(rng, c_v, c_v)
     for _ in range(30):
         sparse = make_sparse(rng, int(rng.integers(1, 4)), c_v)
-        feat = Tensor(rng.normal(size=(c_v, 3, 2)))
+        feat = Tensor(rng.normal(size=(6, c_v)))
         _, trace = dense_attention(feat, sparse, params)
         assert np.all(trace.attn.data >= 0)
         assert np.allclose(trace.attn.data.sum(axis=-1), 1.0, atol=1e-6)
@@ -125,7 +124,7 @@ def test_dense_attention_trace_layout():
     c_v = 4
     sparse = make_sparse(rng, 2, c_v)
     params = hda_params(rng, c_v, c_v)
-    _, trace = dense_attention(Tensor(rng.normal(size=(c_v, 2, 2))), sparse, params)
+    _, trace = dense_attention(Tensor(rng.normal(size=(4, c_v))), sparse, params)
     assert np.array_equal(trace.tokens.data[0], sparse.sentence.data)
     assert np.array_equal(trace.tokens.data[1:], sparse.words.data)
 
@@ -136,7 +135,7 @@ def test_dense_attention_matches_brute_force():
         c_v = int(rng.integers(1, 9))
         h0, w0 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         length = int(rng.integers(1, 4))
-        feat = rng.normal(size=(c_v, h0, w0))
+        feat = rng.normal(size=(h0 * w0, c_v))
         sparse = make_sparse(rng, length, c_v)
         params = hda_params(rng, c_v, c_v)
         out, trace = dense_attention(Tensor(feat), sparse, params)
@@ -151,7 +150,7 @@ def test_dense_attention_channel_mismatch():
     rng = np.random.default_rng(8)
     params = hda_params(rng, 4, 4)
     with pytest.raises(DimensionError):
-        dense_attention(Tensor(rng.normal(size=(4, 2, 2))), make_sparse(rng, 2, 6), params)
+        dense_attention(Tensor(rng.normal(size=(4, 4))), make_sparse(rng, 2, 6), params)
 
 
 def test_word_permutation_permutes_attention_columns():
@@ -159,7 +158,7 @@ def test_word_permutation_permutes_attention_columns():
     c_v = 6
     params = hda_params(rng, c_v, c_v)
     sparse = make_sparse(rng, 3, c_v)
-    feat = Tensor(rng.normal(size=(c_v, 2, 3)))
+    feat = Tensor(rng.normal(size=(6, c_v)))
     perm = [2, 0, 1]
     permuted = TextEmbeddings(words=Tensor(sparse.words.data[perm]),
                               sentence=Tensor(sparse.sentence.data.copy()))
@@ -175,15 +174,14 @@ def test_hda_equals_sum_of_branches():
     c_v, c_mid = 8, 4
     params = hda_params(rng, c_v, c_mid)
     sparse = make_sparse(rng, 2, c_v)
-    ff = FrameFeatures(final=Tensor(rng.normal(size=(c_v, 3, 3))),
-                       mids=[Tensor(rng.normal(size=(c_mid, 3, 3))) for _ in range(3)])
+    ff = FrameFeatures(final=Tensor(rng.normal(size=(9, c_v))),
+                       mids=[Tensor(rng.normal(size=(9, c_mid))) for _ in range(3)], grid=(3, 3))
     total = hierarchical_dense_attention(ff, sparse, params)
-    assert total.shape == (c_v, 3, 3)
+    assert total.shape == (9, c_v)
 
-    from refvos.autodiff import conv1x1
     acc = dense_attention(ff.final, sparse, params, prefix="hda.da0.")[0].data
     for i, mid in enumerate(ff.mids, start=1):
-        red = conv1x1(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
+        red = linear(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
         acc = acc + dense_attention(red, sparse, params, prefix=f"hda.da{i}.")[0].data
     assert np.array_equal(total.data, acc)
 
@@ -193,14 +191,16 @@ def test_hda_stack_equals_per_frame_calls():
     c_v, c_mid, frames = 8, 4, 5
     params = hda_params(rng, c_v, c_mid)
     sparse = make_sparse(rng, 3, c_v)
-    ff = FrameFeatures(final=Tensor(rng.normal(size=(frames, c_v, 3, 2))),
-                       mids=[Tensor(rng.normal(size=(frames, c_mid, 3, 2))) for _ in range(3)])
+    ff = FrameFeatures(final=Tensor(rng.normal(size=(frames, 6, c_v))),
+                       mids=[Tensor(rng.normal(size=(frames, 6, c_mid))) for _ in range(3)],
+                       grid=(3, 2))
     total = hierarchical_dense_attention(ff, sparse, params)
     out, trace = dense_attention(ff.final, sparse, params)
-    assert total.shape == (frames, c_v, 3, 2)
+    assert total.shape == (frames, 6, c_v)
     for t in range(frames):
+        one_ff = FrameFeatures(final=ff.final[t], mids=[m[t] for m in ff.mids], grid=ff.grid)
         assert np.array_equal(total[t].data,
-                              hierarchical_dense_attention(ff[t], sparse, params).data)
+                              hierarchical_dense_attention(one_ff, sparse, params).data)
         one, one_trace = dense_attention(ff.final[t], sparse, params)
         assert np.array_equal(out[t].data, one.data)
         assert np.array_equal(trace.attn.data[t], one_trace.attn.data)
@@ -211,7 +211,7 @@ def test_grad_check_through_projection_and_attention():
     c_e, c_v = 4, 4
     cmm = cmm_params(rng, c_e, 4, c_v)
     hda = hda_params(rng, c_v, c_v)
-    feat = rng.normal(size=(c_v, 2, 2))
+    feat = rng.normal(size=(4, c_v))
     words = rng.normal(size=(2, c_e))
 
     def f(x):

@@ -71,7 +71,7 @@ def test_single_frame_clip_equals_no_track_decode():
     sparse = model.sparse_embeddings(text)
     ff = model.encode_frame(clip.frames[0])
     dense = model.dense_embeddings(ff, sparse)
-    out = model.decode(ff, sparse, dense, None)
+    out = model.decode(ff.final, ff.grid, sparse, dense, None)
     from refvos.autodiff import bilinear_resize
     idx = int(np.argmax(out.iou_scores.data))
     logits = bilinear_resize(out.mask(idx).reshape(1, 32, 32), 64, 64)
@@ -112,7 +112,8 @@ def test_segment_clip_passes_equal_rank3_frame_loop(monkeypatch):
         track, expect = None, []
         for frame in clip.frames:
             ff = model.encode_frame(frame)
-            out = model.decode(ff, sparse, model.dense_embeddings(ff, sparse), track)
+            out = model.decode(ff.final, ff.grid, sparse, model.dense_embeddings(ff, sparse),
+                               track)
             expect.append((tracking.select_mask(out, 64, 64), out))
             track = track_update(out.main_token_out, model.params)
 
@@ -152,13 +153,11 @@ def test_track_changes_later_frames_with_nonzero_itm():
     without = segment_clip(model_no, clip, expr)
     text = model.encode_text(expr)
     sp = model.sparse_embeddings(text)
-    ff = model.encode_frame(clip.frames[1])
-    out_t = model.decode(ff, sp, model.dense_embeddings(ff, sp),
-                         track_update(model.decode(
-                             model.encode_frame(clip.frames[0]), sp,
-                             model.dense_embeddings(model.encode_frame(clip.frames[0]), sp),
-                             None).main_token_out, model.params))
-    out_n = model.decode(ff, sp, model.dense_embeddings(ff, sp), None)
+    ff0, ff = model.encode_frame(clip.frames[0]), model.encode_frame(clip.frames[1])
+    out0 = model.decode(ff0.final, ff0.grid, sp, model.dense_embeddings(ff0, sp), None)
+    out_t = model.decode(ff.final, ff.grid, sp, model.dense_embeddings(ff, sp),
+                         track_update(out0.main_token_out, model.params))
+    out_n = model.decode(ff.final, ff.grid, sp, model.dense_embeddings(ff, sp), None)
     assert not np.array_equal(out_t.mask(0).data, out_n.mask(0).data)
 
 
@@ -338,9 +337,9 @@ def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
     opt = AdamW(model.trainable_params(), default_lrs())
     step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
     step()
-    assert _count_ops(monkeypatch, step).total() == 580
+    assert _count_ops(monkeypatch, step).total() == 493
     long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
-    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 2240
+    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 2048
 
 
 @pytest.mark.parametrize("frames", [1, 3])
@@ -361,14 +360,19 @@ def _op_tensors():
     return [o for o in gc.get_objects() if isinstance(o, Tensor) and o._op != "leaf"]
 
 
-def test_backward_frees_the_graph_it_walks():
+def test_backward_frees_the_graph_it_walks(monkeypatch):
     model = toy_model()
     clip, expr, gts = toy_clip()
     gc.collect()
     before = _op_tensors()   # held, so no id below is reused
     known = {id(t) for t in before}
-    loss = clip_loss(model, clip.frames, expr, gts, LossConfig())[0]
-    assert len([t for t in _op_tensors() if id(t) not in known]) > 500
+    losses = []
+    counted = _count_ops(monkeypatch, lambda: losses.append(
+        clip_loss(model, clip.frames, expr, gts, LossConfig())[0])).total()
+    loss = losses.pop()
+    # the forward graph is alive: most of the ops this clip_loss made. Those
+    # that record no graph (the frozen encoder block) are freed once read.
+    assert counted >= len([t for t in _op_tensors() if id(t) not in known]) > counted // 2
     loss.backward()
     assert [t for t in _op_tensors() if id(t) not in known] == [loss]
     assert loss._parents == () and model.params["itm.fc1.weight"].grad is not None
@@ -469,7 +473,7 @@ def _rank3_clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False
     for frame, gt in zip(frames, gt_masks):
         _, h, w = frame.shape
         ff = model.encode_frame(frame)
-        out = model.decode(ff, sparse, model.dense_embeddings(ff, sparse), track)
+        out = model.decode(ff.final, ff.grid, sparse, model.dense_embeddings(ff, sparse), track)
         mask = out.mask(0)
         logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w).reshape(h, w)
         gt_arr = np.asarray(gt, dtype=float)

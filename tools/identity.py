@@ -10,7 +10,8 @@ Imports the refvos package from CHECKOUT/src and runs this protocol there:
   `eval` output and `infer` masks of the default toy run's checkpoint;
 - every parameter gradient of a 3-frame `clip_loss`, and the masks of a
   12-frame `segment_clip`, at toy, detached track (gradients only), no ITM,
-  float32 and the defaults.
+  no dense attention (`model.da = false`), a single projection in place of
+  the cross-modal MLP (gradients only), float32 and the defaults.
 
 Run it once per checkout, from either one, and compare the outputs with
 `diff`: a change that moves no byte shows an empty diff. Trained bytes
@@ -32,6 +33,8 @@ import numpy as np  # noqa: E402
 
 TOY = dict(blocks=2, token_width=32, channels=32, adapter_width=4, hidden=32, text_width=32)
 TOY_LINES = [f"model.{k} = {v}" for k, v in TOY.items()] + ["train.steps = 30"]
+# no dense attention: the decoder runs without dense rows
+NO_DA = dict(TOY, da=False, hda=False)
 
 
 def _digest(chunks):
@@ -155,10 +158,12 @@ ARTIFACTS = [
     ("infer", _infer),
     *_runs("clip_loss", _clip_loss, [
         ("toy", dict(flags=TOY)), ("detach_track", dict(flags=TOY, detach_track=True)),
-        ("no_itm", dict(flags=dict(TOY, itm=False))),
+        ("no_itm", dict(flags=dict(TOY, itm=False))), ("no_da", dict(flags=NO_DA)),
+        ("no_cmm", dict(flags=dict(TOY, cross_modal_mlp=False))),
         ("float32", dict(flags=TOY, dtype=np.float32)), ("defaults", dict(flags={}))]),
     *_runs("segment_clip", _segment_clip, [
         ("toy", dict(flags=TOY)), ("no_itm", dict(flags=dict(TOY, itm=False))),
+        ("no_da", dict(flags=NO_DA)),
         ("float32", dict(flags=TOY, dtype=np.float32)), ("defaults", dict(flags={}))]),
 ]
 
