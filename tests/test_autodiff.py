@@ -59,6 +59,50 @@ def test_layer_norm_definition():
     assert np.allclose(y.data, expect)
 
 
+def test_linear_on_one_patch_row_equals_the_vector_call():
+    # a 1x1 grid is one row; its 1x1 convolution is the 1-D linear call
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(1, 5))
+    w, b = rng.normal(size=(5, 3)), rng.normal(size=3)
+    y = linear(Tensor(x), Tensor(w), Tensor(b))
+    z = linear(Tensor(x[0]), Tensor(w), Tensor(b))
+    assert y.shape == (1, 3) and np.allclose(y.data[0], z.data)
+
+
+def test_linear_over_patch_rows_matches_conv1x1_loop_oracle():
+    # a 1x1 convolution of a (cin, h, w) map, computed pixel by pixel, is
+    # linear over the map's (h*w, cin) patch rows
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        cin, cout = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        h, w = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        x = rng.normal(size=(cin, h, w))
+        W, b = rng.normal(size=(cin, cout)), rng.normal(size=cout)
+        rows = np.ascontiguousarray(x.reshape(cin, h * w).T)
+        y = linear(Tensor(rows), Tensor(W), Tensor(b)).data
+        expect = np.zeros((cout, h, w))
+        for co in range(cout):
+            for i in range(h):
+                for j in range(w):
+                    expect[co, i, j] = b[co] + sum(
+                        x[ci, i, j] * W[ci, co] for ci in range(cin))
+        assert y.shape == (h * w, cout)
+        assert np.allclose(y.T.reshape(cout, h, w), expect, atol=1e-12)
+
+
+def test_linear_over_clip_rows_equals_per_frame_calls():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2, 3, 20, 5))
+    W, b = Tensor(rng.normal(size=(5, 7))), Tensor(rng.normal(size=7))
+    y = linear(Tensor(x), W, b)
+    assert y.shape == (2, 3, 20, 7)
+    for i in range(2):
+        for t in range(3):
+            assert np.array_equal(y.data[i, t], linear(Tensor(x[i, t]), W, b).data)
+    assert grad_check(lambda v: (linear(v.reshape(2, 4, 5), W, b) ** 2.0).sum(),
+                      Tensor(rng.normal(size=40))) < 1e-6
+
+
 def bilinear_oracle(x, out_h, out_w):
     """Per-pixel half-pixel bilinear interpolation, clamped at the borders."""
     c, h, w = x.shape
@@ -467,6 +511,22 @@ def _assert_twice_bitwise(fused, composite, arrays, x_dtype, w_dtype, seed):
 # (input dtype, weight dtype): a float64 and a float32 graph, and a mixed one,
 # in which the fused op and its composite must promote alike
 DTYPES = [(np.float64, np.float64), (np.float32, np.float32), (np.float64, np.float32)]
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", DTYPES)
+@pytest.mark.parametrize("x_shape", [(12, 6), (2, 3, 12, 6)])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_fused_linear_over_clip_rows_is_bitwise_the_composite(x_dtype, w_dtype, x_shape,
+                                                              with_bias):
+    # the 1x1 convolutions of dense attention run as linear over one frame's
+    # patch rows or a clip's stacked rows, with weights reused over frames
+    rng = np.random.default_rng(14)
+    arrays = [rng.normal(size=x_shape), rng.normal(size=(6, 6))]
+    if with_bias:
+        arrays.append(rng.normal(size=6))
+    _assert_bitwise(linear, _linear_composite, arrays)
+    arrays[1:] = [rng.normal(size=(6, 5))] + [rng.normal(size=5)] * with_bias
+    _assert_twice_bitwise(linear, _linear_composite, arrays, x_dtype, w_dtype, seed=1)
 
 
 @pytest.mark.parametrize("x_dtype, w_dtype", DTYPES)
