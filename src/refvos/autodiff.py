@@ -458,8 +458,8 @@ def attention(q_in, Wq, bq, k, v, Wo, bo):
     """Single-head scaled dot-product attention of q_in over keys k and
     values v, with the query and output projections, as one op: the chain
     `linear(softmax(linear(q_in, Wq, bq) @ k.mT * (1 / sqrt(d)), -1) @ v,
-    Wo, bo)`, d the width of q_in. Ranks of 2 and more broadcast as matmul
-    does.
+    Wo, bo)`, d the projected query width Wq.shape[1], as in SAM. Ranks of 2
+    and more broadcast as matmul does.
 
     The parents are recorded as (q_in, Wq, bq, k, v, Wo, bo), so a backward
     walk reaches v, then k, then q_in, as it does through the chain. k and v
@@ -478,7 +478,7 @@ def attention(q_in, Wq, bq, k, v, Wo, bo):
     _check_finite(q, "attention")
     kt = kd.swapaxes(-1, -2)
     qk = np.matmul(q, kt)
-    c = np.asarray(1.0 / np.sqrt(xd.shape[-1]), dtype=qk.dtype)
+    c = np.asarray(1.0 / np.sqrt(Wq.shape[1]), dtype=qk.dtype)
     att, softmax_back = _softmax(qk * c, -1, "attention")
     av = np.matmul(att, vd)
     _check_finite(av, "attention")

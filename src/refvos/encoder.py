@@ -75,9 +75,9 @@ def adapter_forward(tokens, params, prefix):
 
 
 def attention(q_in, kv_in, params, prefix):
-    """Single-head scaled dot-product attention of q_in over kv_in, with
-    the projections `<prefix>{wq,wk,wv,wo}.{weight,bias}`: the key and value
-    projections are `linear` ops, the rest is one `autodiff.attention` op."""
+    """Single-head attention of q_in over kv_in, scores scaled by 1/sqrt of
+    the projected width, with the projections `<prefix>{wq,wk,wv,wo}.{weight,bias}`:
+    k and v are `linear` ops, the rest is one `autodiff.attention` op."""
     k = linear(kv_in, params[prefix + "wk.weight"], params[prefix + "wk.bias"])
     v = linear(kv_in, params[prefix + "wv.weight"], params[prefix + "wv.bias"])
     return fused_attention(q_in, params[prefix + "wq.weight"], params[prefix + "wq.bias"], k, v,

@@ -35,9 +35,9 @@ def dense_attention(feat, sparse, params, prefix="hda.da0."):
     them, (..., H0*W0, C_v), and their DenseAttentionTrace.
 
     feat: (..., H0*W0, C_v) patch rows, frames along the leading axes. Each
-    pixel attends over [sentence; words] with scaled dot-product similarity,
-    and `linear` fuses the attended token mixture back with the pixel's
-    features (a 1x1 convolution over rows).
+    row attends over [sentence; words] with scaled dot-product similarity,
+    and a `linear` over [attended | feat] fuses the attended token mixture
+    back with the row's features.
     """
     c_v = feat.shape[-1]
     if sparse.words.shape[-1] != c_v:
@@ -51,11 +51,13 @@ def dense_attention(feat, sparse, params, prefix="hda.da0."):
 
 
 def hierarchical_dense_attention(ff, sparse, params):
-    """Sum of dense attention over the final rows and the three mid rows,
-    each mid reduced to width C_v by a `linear` first."""
+    """Sum of dense attention over the final rows and over each mid level
+    whose `hda.reduce<i>` exists, its rows reduced to width C_v by that
+    `linear` first; a model with model.hda false declares no mid level."""
     total, _ = dense_attention(ff.final, sparse, params, prefix="hda.da0.")
     for i, mid in enumerate(ff.mids, start=1):
-        reduced = linear(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
-        branch, _ = dense_attention(reduced, sparse, params, prefix=f"hda.da{i}.")
-        total = total + branch
+        if f"hda.reduce{i}.weight" in params:
+            reduced = linear(mid, params[f"hda.reduce{i}.weight"], params[f"hda.reduce{i}.bias"])
+            branch, _ = dense_attention(reduced, sparse, params, prefix=f"hda.da{i}.")
+            total = total + branch
     return total

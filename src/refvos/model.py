@@ -10,8 +10,7 @@ import numpy as np
 from .autodiff import _leaf
 from .decoder import decode
 from .encoder import ConfigurationError, encode_frame, encode_text
-from .fusion import (cross_modal_project, dense_attention,
-                     hierarchical_dense_attention)
+from .fusion import cross_modal_project, hierarchical_dense_attention
 from .io import CheckpointError
 from .optim import module_of
 
@@ -61,7 +60,7 @@ class ModelConfig:
 
     @property
     def tap_indices(self):
-        """The 3 encoder blocks whose outputs become the mid maps."""
+        """The 3 encoder blocks whose outputs become the mid rows."""
         b = self.blocks
         taps = sorted({b // 4, b // 2, 3 * b // 4})
         return tuple(taps[:1] * (3 - len(taps)) + taps)
@@ -120,10 +119,12 @@ def _entries(cfg):
         yield from _linear("cmm.fc2", cfg.hidden, cv)
     else:   # a single projection in place of the cross-modal MLP
         yield from _linear("cmm.proj", cfg.text_width, cv)
+    # dense attention over the final rows; with cfg.hda also over the 3 mid rows,
+    # each reduced to C_v first. Drawn last in the stream: cfg.hda moves no other draw
     if cfg.da:
-        # four dense-attention branches (final map + 3 mid maps), with a
-        # reduce convolution for each mid map; no weight sharing
-        for i in range(4):
+        yield from _linear("hda.da0.conv", 2 * cv, cv)
+    if cfg.hda:
+        for i in range(1, 4):
             yield from _linear(f"hda.da{i}.conv", 2 * cv, cv)
         for i in range(1, 4):
             yield from _linear(f"hda.reduce{i}", d, cv)
@@ -236,11 +237,7 @@ class Model:
         return encode_frame(frame, self.cfg, self.params)
 
     def dense_embeddings(self, ff, sparse):
-        if self.cfg.hda:
-            return hierarchical_dense_attention(ff, sparse, self.params)
-        if self.cfg.da:
-            return dense_attention(ff.final, sparse, self.params)[0]
-        return None
+        return hierarchical_dense_attention(ff, sparse, self.params) if self.cfg.da else None
 
     def decode(self, final, grid, sparse, dense, track):
         return decode(final, grid, sparse, dense, track, self.params,

@@ -589,7 +589,7 @@ def test_concat_backward_hands_out_the_split_parts(axis):
 
 def _attention_composite(q_in, Wq, bq, k, v, Wo, bo):
     q = linear(q_in, Wq, bq)
-    att = softmax(q @ k.mT * (1.0 / np.sqrt(q_in.shape[-1])), axis=-1)
+    att = softmax(q @ k.mT * (1.0 / np.sqrt(q.shape[-1])), axis=-1)
     return linear(att @ v, Wo, bo)
 
 
@@ -622,7 +622,7 @@ def _run_attention(op, arrays, dtype, self_attention, trainable, seed):
 def test_fused_attention_is_bitwise_the_composite(dtype, q_shape, kv_shape, self_attention,
                                                   trainable):
     rng = np.random.default_rng(18)
-    # the projections narrow the width, so the scale reads q_in's width
+    # the projections narrow the width, so the scale reads the projected width
     arrays = [rng.normal(size=q_shape), rng.normal(size=kv_shape)]
     for n_in, n_out in ((6, 4), (6, 4), (6, 3), (3, 6)):
         arrays += [rng.normal(size=(n_in, n_out)), rng.normal(size=n_out)]
@@ -635,6 +635,20 @@ def test_fused_attention_is_bitwise_the_composite(dtype, q_shape, kv_shape, self
         assert g.shape == w.shape and g.dtype == w.dtype == dtype
         assert g.tobytes() == w.tobytes()
     assert (got[4] is None) != trainable
+
+
+def test_attention_scales_scores_by_the_projected_width():
+    # q_in is 6 wide and the query projection 4: the scale is 1/sqrt(4), as
+    # in SAM, not 1/sqrt(6)
+    rng = np.random.default_rng(20)
+    x, kv = rng.normal(size=(5, 6)), rng.normal(size=(3, 4))
+    Wq, bq, Wo, bo = (rng.normal(size=s) for s in ((6, 4), 4, (4, 6), 6))
+    q = x @ Wq + bq
+    s = q @ kv.T / np.sqrt(4)
+    e = np.exp(s - s.max(-1, keepdims=True))
+    want = (e / e.sum(-1, keepdims=True)) @ kv @ Wo + bo
+    got = attention(*(Tensor(a) for a in (x, Wq, bq, kv, kv, Wo, bo)))
+    assert np.allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
 
 def test_fused_attention_passes_grad_check():

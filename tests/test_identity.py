@@ -27,5 +27,5 @@ def test_identity_digests_repeat_and_names_are_unique(monkeypatch, tmp_path):
         work.mkdir()
         runs.append(list(identity.digests([("clip_loss.toy", artifact)], str(work))))
     assert runs[0] == runs[1]
-    assert [name for name, _ in runs[0]] == ["clip_loss.toy.grads"]
+    assert [name for name, _ in runs[0]] == ["clip_loss.toy.loss", "clip_loss.toy.grads"]
     assert all(len(digest) == 64 for _, digest in runs[0])

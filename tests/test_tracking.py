@@ -221,6 +221,40 @@ def test_detach_track_blocks_cross_frame_gradient():
     assert g is None or np.abs(g).max() == 0
 
 
+# trainable parameters that no loss reaches: the mask heads clip_loss does not
+# supervise (ROADMAP item 1) and the i2t layer norms decode never reads
+UNTRAINED = {f"decoder.hyper{i}.fc{j}.{k}" for i in (1, 2, 3) for j in (1, 2, 3)
+             for k in ("weight", "bias")} | \
+            {f"decoder.layer{i}.ln_i2t.{k}" for i in (0, 1) for k in ("gamma", "beta")}
+ITM = {f"itm.{name}" for name in ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias",
+                                  "ln.gamma", "ln.beta")}
+
+
+@pytest.mark.parametrize("ablation, detach", [
+    pytest.param({}, False, id="toy"), pytest.param({}, True, id="detach_track"),
+    *[pytest.param(off, False, id="-".join(f"no_{k}" for k in off))
+      for off in ({"hda": False}, {"hda": False, "da": False}, {"itm": False},
+                  {"cross_modal_mlp": False}, {"adapter": False},
+                  {"include_sentence_token": False})]])
+def test_every_trainable_parameter_gets_a_gradient_but_the_named_ones(ablation, detach):
+    model = toy_model(seed=1, **ablation)
+    clip, expr, gts = toy_clip(frames=3)
+    loss, _ = clip_loss(model, clip.frames, expr, gts, LossConfig(), detach_track=detach)
+    loss.backward()
+    untrained = {n for n, p in model.trainable_params().items() if p.grad is None}
+    # a detached track token cuts the ITM's output off from every later loss
+    assert untrained == UNTRAINED | (ITM if detach else set())
+
+
+def test_a_da_only_model_holds_the_full_models_values_minus_the_mid_levels():
+    full, da_only = toy_model(), toy_model(hda=False)
+    mids = {f"hda.{layer}.{k}" for i in (1, 2, 3) for layer in (f"da{i}.conv", f"reduce{i}")
+            for k in ("weight", "bias")}
+    assert set(da_only.params) == set(full.params) - mids and len(mids) == 12
+    for name, p in da_only.params.items():
+        assert p.data.tobytes() == full.params[name].data.tobytes(), name
+
+
 def test_sample_training_frames_sorted():
     rng = np.random.default_rng(0)
     frames = list(range(10))
@@ -436,7 +470,7 @@ def _composite_attention(q_in, kv_in, params, prefix):
     q = linear(q_in, params[prefix + "wq.weight"], params[prefix + "wq.bias"])
     k = linear(kv_in, params[prefix + "wk.weight"], params[prefix + "wk.bias"])
     v = linear(kv_in, params[prefix + "wv.weight"], params[prefix + "wv.bias"])
-    att = softmax(q @ k.mT * (1.0 / np.sqrt(q_in.shape[-1])), axis=-1)
+    att = softmax(q @ k.mT * (1.0 / np.sqrt(q.shape[-1])), axis=-1)
     return linear(att @ v, params[prefix + "wo.weight"], params[prefix + "wo.bias"])
 
 

@@ -8,10 +8,15 @@ Imports the refvos package from CHECKOUT/src and runs this protocol there:
   flags, `train.detach_track = true`, `model.itm = false` and
   `model.hda = false`; a 2-step `train` at the ModelConfig defaults;
   `eval` output and `infer` masks of the default toy run's checkpoint;
-- every parameter gradient of a 3-frame `clip_loss`, and the masks of a
-  12-frame `segment_clip`, at toy, detached track (gradients only), no ITM,
-  no dense attention (`model.da = false`), a single projection in place of
-  the cross-modal MLP (gradients only), float32 and the defaults.
+- the loss and every parameter gradient of a 3-frame `clip_loss`, and the
+  masks of a 12-frame `segment_clip`, at toy, detached track (`clip_loss`
+  only), no ITM, dense attention over the final rows alone
+  (`model.hda = false`), no dense attention (`model.da = false`), a single
+  projection in place of the cross-modal MLP (`clip_loss` only), float32
+  and the defaults. Each parameter is moved by noise seeded by its name, so
+  a parameter that a change adds or drops moves no other parameter's value:
+  a change that only drops unread parameters moves only the digests that
+  list parameters by name, the `train` checkpoints and `clip_loss` grads.
 
 Run it once per checkout, from either one, and compare the outputs with
 `diff`: a change that moves no byte shows an empty diff. Trained bytes
@@ -26,6 +31,7 @@ import io
 import os
 import sys
 import tempfile
+import zlib
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -33,6 +39,8 @@ import numpy as np  # noqa: E402
 
 TOY = dict(blocks=2, token_width=32, channels=32, adapter_width=4, hidden=32, text_width=32)
 TOY_LINES = [f"model.{k} = {v}" for k, v in TOY.items()] + ["train.steps = 30"]
+# dense attention over the final rows alone
+NO_HDA = dict(TOY, hda=False)
 # no dense attention: the decoder runs without dense rows
 NO_DA = dict(TOY, da=False, hda=False)
 
@@ -104,12 +112,12 @@ def _infer(work):
 
 
 def _model(flags, dtype):
-    """A seed-1 model whose every parameter is moved by seeded noise, so the
-    adapters and the track update are not at their zero init."""
+    """A seed-1 model whose every parameter is moved by noise seeded by its
+    name, so the adapters and the track update are not at their zero init."""
     from refvos.model import Model, ModelConfig
     model = Model(ModelConfig(**flags), seed=1, dtype=dtype)
-    rng = np.random.default_rng(6)
-    for p in model.params.values():
+    for name, p in model.params.items():
+        rng = np.random.default_rng([6, zlib.crc32(name.encode())])
         p.data = p.data + rng.normal(0.0, 0.05, p.data.shape).astype(dtype)
     return model
 
@@ -128,10 +136,10 @@ def _clip_loss(work, flags, dtype=np.float64, detach_track=False):
     clip, expr, gts = _clip(3)
     loss, _ = clip_loss(model, clip.frames, expr, gts, LossConfig(), detach_track)
     loss.backward()
-    chunks = [loss.data.tobytes()]
+    grads = []
     for name, p in sorted(model.params.items()):
-        chunks += [name.encode(), b"none" if p.grad is None else p.grad.tobytes()]
-    return {"grads": chunks}
+        grads += [name.encode(), b"none" if p.grad is None else p.grad.tobytes()]
+    return {"loss": [loss.data.tobytes()], "grads": grads}
 
 
 def _segment_clip(work, flags, dtype=np.float64):
@@ -158,12 +166,12 @@ ARTIFACTS = [
     ("infer", _infer),
     *_runs("clip_loss", _clip_loss, [
         ("toy", dict(flags=TOY)), ("detach_track", dict(flags=TOY, detach_track=True)),
-        ("no_itm", dict(flags=dict(TOY, itm=False))), ("no_da", dict(flags=NO_DA)),
-        ("no_cmm", dict(flags=dict(TOY, cross_modal_mlp=False))),
+        ("no_itm", dict(flags=dict(TOY, itm=False))), ("no_hda", dict(flags=NO_HDA)),
+        ("no_da", dict(flags=NO_DA)), ("no_cmm", dict(flags=dict(TOY, cross_modal_mlp=False))),
         ("float32", dict(flags=TOY, dtype=np.float32)), ("defaults", dict(flags={}))]),
     *_runs("segment_clip", _segment_clip, [
         ("toy", dict(flags=TOY)), ("no_itm", dict(flags=dict(TOY, itm=False))),
-        ("no_da", dict(flags=NO_DA)),
+        ("no_hda", dict(flags=NO_HDA)), ("no_da", dict(flags=NO_DA)),
         ("float32", dict(flags=TOY, dtype=np.float32)), ("defaults", dict(flags={}))]),
 ]
 
