@@ -203,7 +203,8 @@ class Tensor:
         return _record(-self.data, (self,), "neg", lambda g: self._accum(-g))
 
     def __sub__(self, other):
-        return self + (-_as_tensor(other, self.dtype))
+        # a constant is negated as an array: only a Tensor operand records a neg op
+        return self + (-other if isinstance(other, Tensor) else -np.asarray(other, self.dtype))
 
     def __rsub__(self, other):
         return _as_tensor(other, self.dtype) + (-self)
@@ -427,7 +428,8 @@ def _softmax(x, axis, op):
 
 def linear(x, W, b=None):
     """y = x W + b over the last axis of x, as one op. A 1-D x runs as a
-    (1, C) row, so it gets the values of `x.reshape(1, -1) @ W + b`."""
+    (1, C) row, so it gets the values of `x.reshape(1, -1) @ W + b`; in the
+    model only `cross_modal_project`'s sentence vector takes that branch."""
     if x.shape[-1] != W.shape[0]:
         raise DimensionError(f"linear: inner extents differ ({x.shape[-1]} vs {W.shape[0]})")
     if W.data.ndim < 2:
@@ -555,13 +557,13 @@ def _interp_matrix(n_out, n_in, dtype):
 
 
 def bilinear_resize(x, out_h, out_w):
-    """Resize a (C, H, W) map with bilinear interpolation."""
-    if x.data.ndim != 3:
-        raise DimensionError("bilinear_resize: input must be (C, H, W)")
-    _, h, w = x.shape
+    """Resize an (H, W) map with bilinear interpolation."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"bilinear_resize: input must be an (H, W) map, not {x.shape}")
+    h, w = x.shape
     rows = Tensor(_interp_matrix(out_h, h, x.dtype))
-    cols = Tensor(_interp_matrix(out_w, w, x.dtype))
-    return (rows @ x) @ cols.T
+    cols_t = Tensor(_interp_matrix(out_w, w, x.dtype).T)
+    return (rows @ x) @ cols_t
 
 
 def transposed_conv_upscale(x, W, b=None):

@@ -16,8 +16,8 @@ class DecoderOutput:
     tokens: Tensor       # output tokens: iou, main, 3 scales, then prompts
     up: Tensor           # (C_v/4, 4*H0, 4*W0) upscaled image embedding
     params: dict
-    iou_scores: Tensor   # (4,) in [0, 1]: main + 3 scales
-    main_token_out: Tensor  # (C_v,)
+    iou_scores: Tensor   # (1, 4) in [0, 1]: main + 3 scales
+    main_token_out: Tensor  # (1, C_v)
 
     def mask(self, i):
         """The (4*H0, 4*W0) logit map of mask i (0 is the main one): runs
@@ -26,10 +26,11 @@ class DecoderOutput:
         params, up = self.params, self.up
         c_up, h, w = up.shape
         pre = f"decoder.hyper{i}."
-        k = linear(self.tokens[1 + i], params[pre + "fc1.weight"], params[pre + "fc1.bias"]).relu()
+        k = linear(self.tokens[1 + i:2 + i], params[pre + "fc1.weight"],
+                   params[pre + "fc1.bias"]).relu()
         k = linear(k, params[pre + "fc2.weight"], params[pre + "fc2.bias"]).relu()
         k = linear(k, params[pre + "fc3.weight"], params[pre + "fc3.bias"])
-        return (k.reshape(1, c_up) @ up.reshape(c_up, h * w)).reshape(h, w)
+        return (k @ up.reshape(c_up, h * w)).reshape(h, w)
 
 
 def decode(visual, grid, sparse, dense, track, params, include_sentence_token=True):
@@ -39,7 +40,7 @@ def decode(visual, grid, sparse, dense, track, params, include_sentence_token=Tr
 
     visual: (H0*W0, C_v) patch rows of the grid (H0, W0); sparse: the
     TextEmbeddings prompts; dense: rows of visual's shape, or None; track:
-    (C_v,) Tensor or None. The dense rows condition the decoder additively.
+    a (1, C_v) row or None. The dense rows condition the decoder additively.
     """
     h0, w0 = grid
     if visual.data.ndim != 2 or visual.shape[0] != h0 * w0:
@@ -57,9 +58,9 @@ def decode(visual, grid, sparse, dense, track, params, include_sentence_token=Tr
              params["decoder.token.main"].reshape(1, c_v)]
     parts += [params[f"decoder.token.scale{i}"].reshape(1, c_v) for i in range(3)]
     if track is not None:
-        if track.shape != (c_v,):
-            raise DimensionError("decode: track token width mismatch")
-        parts.append(track.reshape(1, c_v))
+        if track.shape != (1, c_v):
+            raise DimensionError(f"decode: track must be a (1, {c_v}) row, not {track.shape}")
+        parts.append(track)
     if include_sentence_token:
         parts.append(sparse.sentence.reshape(1, c_v))
     parts.append(sparse.words)
@@ -78,8 +79,8 @@ def decode(visual, grid, sparse, dense, track, params, include_sentence_token=Tr
     up = transposed_conv_upscale(image.mT.reshape(c_v, h0, w0),
                                  params["decoder.up1.weight"], params["decoder.up1.bias"]).relu()
     up = transposed_conv_upscale(up, params["decoder.up2.weight"], params["decoder.up2.bias"]).relu()
-    iou = linear(tokens[0], params["decoder.iou_head.fc1.weight"],
+    iou = linear(tokens[0:1], params["decoder.iou_head.fc1.weight"],
                  params["decoder.iou_head.fc1.bias"]).relu()
     iou = linear(iou, params["decoder.iou_head.fc2.weight"],
                  params["decoder.iou_head.fc2.bias"]).sigmoid()
-    return DecoderOutput(tokens, up, params, iou_scores=iou, main_token_out=tokens[1])
+    return DecoderOutput(tokens, up, params, iou_scores=iou, main_token_out=tokens[1:2])

@@ -13,7 +13,6 @@ from .encoder import TextEmbeddings
 class DenseAttentionTrace:
     tokens: Tensor     # (L+1, C_v), sentence row first
     attn: Tensor       # (..., H0*W0, L+1), rows sum to 1
-    attended: Tensor   # (..., H0*W0, C_v)
 
 
 def cross_modal_project(text, params):
@@ -47,7 +46,7 @@ def dense_attention(feat, sparse, params, prefix="hda.da0."):
     attended = attn @ tokens                                                   # (..., HW, C_v)
     dense = linear(concat([attended, feat], axis=-1),
                    params[prefix + "conv.weight"], params[prefix + "conv.bias"])
-    return dense, DenseAttentionTrace(tokens=tokens, attn=attn, attended=attended)
+    return dense, DenseAttentionTrace(tokens=tokens, attn=attn)
 
 
 def hierarchical_dense_attention(ff, sparse, params):

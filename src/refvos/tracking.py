@@ -28,9 +28,8 @@ def track_update(main_token_out, params):
 def select_mask(out, h, w):
     """The h x w binary mask of the decoder output with the highest quality
     score (the first on a tie): resized, then thresholded at 0."""
-    mask = out.mask(int(np.argmax(out.iou_scores.data)))
-    logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w)
-    return (logits.data[0] > 0).astype(np.uint8)
+    logits = bilinear_resize(out.mask(int(np.argmax(out.iou_scores.data))), h, w)
+    return (logits.data > 0).astype(np.uint8)
 
 
 def _decoded_frames(model, frames, sparse, frames_per_pass, detach_track=False):
@@ -80,15 +79,14 @@ def clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False):
     decoded = _decoded_frames(model, frames, sparse, 1, detach_track)
     for frame, gt, out in zip(frames, gt_masks, decoded):
         _, h, w = frame.shape
-        mask = out.mask(0)
-        logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w).reshape(h, w)
+        logits = bilinear_resize(out.mask(0), h, w)
         gt_arr = np.asarray(gt, dtype=float)
         d = dice_loss(logits.sigmoid(), gt_arr, loss_cfg)
         f = focal_loss(logits, gt_arr, loss_cfg)
         pred_bin = (logits.data > 0).astype(np.uint8)
         target_iou = region_similarity_J(pred_bin, gt_arr > 0)
-        iou_term = (out.iou_scores[0] - target_iou) ** 2.0
-        frame_loss = loss_cfg.w_dice * d + loss_cfg.w_focal * f + iou_term.sum()
+        iou_term = (out.iou_scores[0, 0] - target_iou) ** 2.0
+        frame_loss = loss_cfg.w_dice * d + loss_cfg.w_focal * f + iou_term
         total = frame_loss if total is None else total + frame_loss
         report["dice"] += float(d.data)
         report["focal"] += float(f.data)

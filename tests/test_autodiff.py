@@ -104,21 +104,22 @@ def test_linear_over_clip_rows_equals_per_frame_calls():
 
 
 def bilinear_oracle(x, out_h, out_w):
-    """Per-pixel half-pixel bilinear interpolation, clamped at the borders."""
-    c, h, w = x.shape
+    """Per-pixel half-pixel bilinear interpolation of an (H, W) map, clamped
+    at the borders."""
+    h, w = x.shape
 
     def source(i, n_out, n_in):
         s = min(max((i + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
         lo = int(np.floor(s))
         return lo, min(lo + 1, n_in - 1), s - lo
 
-    out = np.zeros((c, out_h, out_w))
+    out = np.zeros((out_h, out_w))
     for i in range(out_h):
         y0, y1, fy = source(i, out_h, h)
         for j in range(out_w):
             x0, x1, fx = source(j, out_w, w)
-            out[:, i, j] = ((1 - fy) * ((1 - fx) * x[:, y0, x0] + fx * x[:, y0, x1])
-                            + fy * ((1 - fx) * x[:, y1, x0] + fx * x[:, y1, x1]))
+            out[i, j] = ((1 - fy) * ((1 - fx) * x[y0, x0] + fx * x[y0, x1])
+                         + fy * ((1 - fx) * x[y1, x0] + fx * x[y1, x1]))
     return out
 
 
@@ -129,20 +130,32 @@ def test_cached_tables_are_read_only_and_resize_unchanged():
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
     assert _interp_matrix(7, 3, np.dtype(np.float64)) is _interp_matrix(7, 3, np.dtype(np.float64))
-    x = np.random.default_rng(6).normal(size=(2, 3, 5))
-    for out_h, out_w in ((7, 9), (1, 5), (3, 5), (2, 2)):
-        first = bilinear_resize(Tensor(x), out_h, out_w).data
-        assert np.array_equal(bilinear_resize(Tensor(x), out_h, out_w).data, first)
-        assert np.allclose(first, bilinear_oracle(x, out_h, out_w), rtol=0, atol=1e-12)
-    one = np.random.default_rng(7).normal(size=(1, 1, 1))
-    assert np.array_equal(bilinear_resize(Tensor(one), 3, 2).data, np.broadcast_to(one, (1, 3, 2)))
+    for x in np.random.default_rng(6).normal(size=(2, 3, 5)):
+        for out_h, out_w in ((7, 9), (1, 5), (3, 5), (2, 2)):
+            first = bilinear_resize(Tensor(x), out_h, out_w).data
+            assert np.array_equal(bilinear_resize(Tensor(x), out_h, out_w).data, first)
+            assert np.allclose(first, bilinear_oracle(x, out_h, out_w), rtol=0, atol=1e-12)
+    one = np.random.default_rng(7).normal(size=(1, 1))
+    assert np.array_equal(bilinear_resize(Tensor(one), 3, 2).data, np.broadcast_to(one, (3, 2)))
+
+
+def test_bilinear_resize_takes_one_map_and_records_no_transpose(monkeypatch):
+    from refvos import autodiff
+    x = np.random.default_rng(11).normal(size=(6, 4))
+    with pytest.raises(DimensionError, match=r"\(H, W\) map"):
+        bilinear_resize(Tensor(x[None]), 12, 8)
+    ops, make = [], autodiff._make
+    monkeypatch.setattr(autodiff, "_make", lambda d, ps, op: ops.append(op) or make(d, ps, op))
+    y = bilinear_resize(Tensor(x, requires_grad=True), 12, 8)
+    assert ops == ["matmul", "matmul"] and y.shape == (12, 8)
+    assert np.allclose(y.data, bilinear_oracle(x, 12, 8), rtol=0, atol=1e-12)
 
 
 def test_bilinear_resize_identity_and_constant():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 5, 5))
-    assert np.allclose(bilinear_resize(Tensor(x), 5, 5).data, x)
-    c = np.full((1, 3, 3), 2.5)
+    for x in rng.normal(size=(2, 5, 5)):
+        assert np.allclose(bilinear_resize(Tensor(x), 5, 5).data, x)
+    c = np.full((3, 3), 2.5)
     assert np.allclose(bilinear_resize(Tensor(c), 7, 9).data, 2.5)
 
 
@@ -201,7 +214,7 @@ def test_grad_check_through_spatial_ops():
     def f(x):
         y = linear(x.reshape(9, 2), W).mT.reshape(2, 3, 3)
         y = transposed_conv_upscale(y, Wt, bt)
-        return bilinear_resize(y, 4, 5).sum()
+        return (bilinear_resize(y[0], 4, 5) + bilinear_resize(y[1], 4, 5)).sum()
 
     assert grad_check(f, Tensor(rng.normal(size=18))) < 1e-6
 
@@ -249,6 +262,30 @@ def test_getitem_rejects_advanced_indices(idx):
 def test_backward_requires_scalar():
     with pytest.raises(DimensionError):
         Tensor([1.0, 2.0], requires_grad=True).backward()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_subtracting_a_constant_records_one_op(monkeypatch, dtype):
+    # the constant is negated as an array; a Tensor operand keeps its neg op
+    from refvos import autodiff
+    rng = np.random.default_rng(12)
+    data, w = rng.normal(size=(2, 3, 4)).astype(dtype)
+    c = np.full((3, 4), 0.3)
+    runs = {"x - 0.5": lambda x: x - 0.5, "x + (-0.5)": lambda x: x + (-0.5),
+            "x - c": lambda x: x - c, "x + (-c)": lambda x: x + (-c),
+            "x - Tensor(c)": lambda x: x - Tensor(c.astype(dtype))}
+    seen = {}
+    for name, run in runs.items():
+        x, ops, make = Tensor(data.copy(), requires_grad=True), [], autodiff._make
+        with monkeypatch.context() as m:
+            m.setattr(autodiff, "_make", lambda d, ps, op: ops.append(op) or make(d, ps, op))
+            y = run(x)
+        (y * Tensor(w)).sum().backward()
+        seen[name] = (ops, y.dtype, y.data.tobytes(), x.grad.tobytes())
+    assert seen["x - 0.5"] == seen["x + (-0.5)"] and seen["x - 0.5"][:2] == (["add"], dtype)
+    assert seen["x - c"] == seen["x + (-c)"] and seen["x - c"][:2] == (["add"], dtype)
+    assert seen["x - Tensor(c)"][0] == ["neg", "add"]
+    assert seen["x - Tensor(c)"][2:] == seen["x - c"][2:]
 
 
 def _every_op(x):

@@ -38,9 +38,9 @@ def test_decode_shapes():
     visual, grid, sparse, dense = make_inputs(rng, h0=8, w0=8)
     out = decode(visual, grid, sparse, dense, None, params)
     assert all(out.mask(i).shape == (32, 32) for i in range(4))
-    assert out.iou_scores.shape == (4,)
+    assert out.iou_scores.shape == (1, 4)
     assert np.all((out.iou_scores.data >= 0) & (out.iou_scores.data <= 1))
-    assert out.main_token_out.shape == (C_V,)
+    assert out.main_token_out.shape == (1, C_V)
 
 
 def test_decode_deterministic():
@@ -57,8 +57,9 @@ def test_decode_track_width_checked():
     rng = np.random.default_rng(3)
     params = decoder_params(seed=3)
     visual, grid, sparse, dense = make_inputs(rng)
-    with pytest.raises(DimensionError):
-        decode(visual, grid, sparse, dense, Tensor(np.zeros(C_V + 1)), params)
+    for wrong in ((1, C_V + 1), (C_V,)):
+        with pytest.raises(DimensionError, match=r"track must be a \(1, 32\) row"):
+            decode(visual, grid, sparse, dense, Tensor(np.zeros(wrong)), params)
 
 
 def test_decode_checks_rows_against_the_grid():
@@ -95,7 +96,7 @@ def test_zero_track_with_zero_value_projections_is_transparent():
             p.data = np.zeros_like(p.data)
     visual, grid, sparse, dense = make_inputs(rng)
     absent = decode(visual, grid, sparse, dense, None, params)
-    present = decode(visual, grid, sparse, dense, Tensor(np.zeros(C_V)), params)
+    present = decode(visual, grid, sparse, dense, Tensor(np.zeros((1, C_V))), params)
     for i in range(4):
         assert np.array_equal(absent.mask(i).data, present.mask(i).data)
     assert np.array_equal(absent.iou_scores.data, present.iou_scores.data)
@@ -133,7 +134,7 @@ def test_grad_check_decode_to_dice():
 
 
 def resized(mask, h, w):
-    return (bilinear_resize(mask.reshape(1, *mask.shape), h, w).data[0] > 0).astype(np.uint8)
+    return (bilinear_resize(mask, h, w).data > 0).astype(np.uint8)
 
 
 def fake_output(masks, iou_scores):
@@ -144,11 +145,11 @@ def fake_output(masks, iou_scores):
 def test_select_mask_argmax_and_tie():
     rng = np.random.default_rng(9)
     masks = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
-    out = fake_output(masks, iou_scores=Tensor([0.9, 0.1, 0.1, 0.1]))
+    out = fake_output(masks, iou_scores=Tensor([[0.9, 0.1, 0.1, 0.1]]))
     assert np.array_equal(select_mask(out, 8, 8), resized(masks[0], 8, 8))
-    out.iou_scores = Tensor([0.4, 0.4, 0.4, 0.4])
+    out.iou_scores = Tensor([[0.4, 0.4, 0.4, 0.4]])
     assert np.array_equal(select_mask(out, 8, 8), resized(masks[0], 8, 8))
-    out.iou_scores = Tensor([0.2, 0.3, 0.9, 0.1])
+    out.iou_scores = Tensor([[0.2, 0.3, 0.9, 0.1]])
     assert np.array_equal(select_mask(out, 8, 8), resized(masks[2], 8, 8))
     assert np.array_equal(select_mask(out, 4, 4), (masks[2].data > 0).astype(np.uint8))
 
@@ -156,7 +157,7 @@ def test_select_mask_argmax_and_tie():
 def test_select_mask_monotone_invariance():
     rng = np.random.default_rng(10)
     masks = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
-    scores = np.array([0.2, 0.7, 0.5, 0.1])
+    scores = np.array([[0.2, 0.7, 0.5, 0.1]])
     out = fake_output(masks, iou_scores=Tensor(scores))
     base = select_mask(out, 8, 8)
     for transform in (lambda s: s ** 3, lambda s: 5 * s + 1, np.exp):
@@ -202,7 +203,7 @@ def test_reading_mask_0_runs_no_other_hypernetwork(monkeypatch):
 def test_masks_read_on_demand_equal_eager_computation():
     params = decoder_params(seed=7)
     visual, grid, sparse, dense = make_inputs(np.random.default_rng(7))
-    out = decode(visual, grid, sparse, dense, Tensor(np.ones(C_V)), params)
+    out = decode(visual, grid, sparse, dense, Tensor(np.ones((1, C_V))), params)
     for i, want in enumerate(eager_masks(out, params)):
         assert out.mask(i).data.tobytes() == want.data.tobytes()
 

@@ -74,8 +74,8 @@ def test_single_frame_clip_equals_no_track_decode():
     out = model.decode(ff.final, ff.grid, sparse, dense, None)
     from refvos.autodiff import bilinear_resize
     idx = int(np.argmax(out.iou_scores.data))
-    logits = bilinear_resize(out.mask(idx).reshape(1, 32, 32), 64, 64)
-    assert np.array_equal(masks[0], (logits.data[0] > 0).astype(np.uint8))
+    logits = bilinear_resize(out.mask(idx), 64, 64)
+    assert np.array_equal(masks[0], (logits.data > 0).astype(np.uint8))
 
 
 def test_segment_clip_deterministic():
@@ -371,9 +371,9 @@ def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
     opt = AdamW(model.trainable_params(), default_lrs())
     step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
     step()
-    assert _count_ops(monkeypatch, step).total() == 493
+    assert _count_ops(monkeypatch, step).total() == 473
     long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
-    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 2048
+    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 1953
 
 
 @pytest.mark.parametrize("frames", [1, 3])
@@ -508,14 +508,13 @@ def _rank3_clip_loss(model, frames, expr, gt_masks, loss_cfg, detach_track=False
         _, h, w = frame.shape
         ff = model.encode_frame(frame)
         out = model.decode(ff.final, ff.grid, sparse, model.dense_embeddings(ff, sparse), track)
-        mask = out.mask(0)
-        logits = bilinear_resize(mask.reshape(1, *mask.shape), h, w).reshape(h, w)
+        logits = bilinear_resize(out.mask(0), h, w)
         gt_arr = np.asarray(gt, dtype=float)
         d = dice_loss(logits.sigmoid(), gt_arr, loss_cfg)
         f = focal_loss(logits, gt_arr, loss_cfg)
         target_iou = region_similarity_J((logits.data > 0).astype(np.uint8), gt_arr > 0)
-        iou_term = (out.iou_scores[0] - target_iou) ** 2.0
-        frame_loss = loss_cfg.w_dice * d + loss_cfg.w_focal * f + iou_term.sum()
+        iou_term = (out.iou_scores[0, 0] - target_iou) ** 2.0
+        frame_loss = loss_cfg.w_dice * d + loss_cfg.w_focal * f + iou_term
         total = frame_loss if total is None else total + frame_loss
         if model.cfg.itm:
             track = track_update(out.main_token_out, model.params)
