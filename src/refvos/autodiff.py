@@ -427,25 +427,21 @@ def _softmax(x, axis, op):
 # ---- neural-net building blocks -----------------------------------------
 
 def linear(x, W, b=None):
-    """y = x W + b over the last axis of x, as one op. A 1-D x runs as a
-    (1, C) row, so it gets the values of `x.reshape(1, -1) @ W + b`; in the
-    model only `cross_modal_project`'s sentence vector takes that branch."""
+    """y = x W + b over the last axis of x, as one op; x and W must have
+    rank 2 or more."""
     if x.shape[-1] != W.shape[0]:
         raise DimensionError(f"linear: inner extents differ ({x.shape[-1]} vs {W.shape[0]})")
-    if W.data.ndim < 2:
+    if x.data.ndim < 2 or W.data.ndim < 2:
         raise DimensionError("matmul operands must have rank >= 2")
-    squeeze = x.data.ndim == 1
-    x2 = x.data.reshape(1, -1) if squeeze else x.data
-    xw = np.matmul(x2, W.data)
+    xw = np.matmul(x.data, W.data)
     y = xw if b is None else xw + b.data
 
     def bwd(g):
-        gx = _affine_backward(g.reshape(y.shape) if squeeze else g, x2, W, b, x.requires_grad)
+        gx = _affine_backward(g, x.data, W, b, x.requires_grad)
         if gx is not None:
-            x._accum(gx.reshape(x.shape) if squeeze else gx)
+            x._accum(gx)
 
-    return _record(y.reshape(y.shape[1:]) if squeeze else y,
-                   (x, W) if b is None else (x, W, b), "linear", bwd)
+    return _record(y, (x, W) if b is None else (x, W, b), "linear", bwd)
 
 
 def softmax(x, axis=-1):

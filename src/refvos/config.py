@@ -58,10 +58,9 @@ class RunConfig:
             for f in fields(section):
                 if f.type is int and f.name != "seed" and getattr(section, f.name) < 1:
                     raise ConfigurationError(f"{name}.{f.name} must be >= 1")
-        for name in ("lr_cmm", "lr_hda", "lr_decoder", "lr_adapter", "lr_itm"):
-            lr = getattr(self.train, name)
+        for group, lr in self.learning_rates().items():
             if not (math.isfinite(lr) and lr > 0):
-                raise ConfigurationError(f"train.{name} must be finite and > 0, got {lr}")
+                raise ConfigurationError(f"train.lr_{group} must be finite and > 0, got {lr}")
         self.loss_config()
         self.data_spec(self.train.seed)
         return self
@@ -81,9 +80,9 @@ class RunConfig:
         return _checked("data", SyntheticSpec, dict(values, seed=seed + SEED_DATA))
 
     def learning_rates(self):
-        t = self.train
-        return {"cmm": t.lr_cmm, "hda": t.lr_hda, "decoder": t.lr_decoder,
-                "adapter": t.lr_adapter, "itm": t.lr_itm}
+        """{group: learning rate} from the train section's lr_<group> fields."""
+        return {f.name[3:]: getattr(self.train, f.name) for f in fields(TrainSection)
+                if f.name.startswith("lr_")}
 
 
 def _checked(section, cls, values):

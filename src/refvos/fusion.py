@@ -1,37 +1,30 @@
 """Text-to-prompt projection and pixel-level vision-language fusion, over
 the encoder's (..., H0*W0, C) patch rows."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, concat, linear, softmax
+from .autodiff import DimensionError, concat, linear, softmax
 from .encoder import TextEmbeddings
-
-
-@dataclass
-class DenseAttentionTrace:
-    tokens: Tensor     # (L+1, C_v), sentence row first
-    attn: Tensor       # (..., H0*W0, L+1), rows sum to 1
 
 
 def cross_modal_project(text, params):
     """Map word and sentence embeddings into the decoder's prompt space:
-    the sparse prompts, a TextEmbeddings of width C_v."""
+    the sparse prompts, a TextEmbeddings of width C_v. The sentence is
+    projected as a (1, C) row and handed on as a (C_v,) vector."""
     if "cmm.proj.weight" in params:
         proj = lambda x: linear(x, params["cmm.proj.weight"], params["cmm.proj.bias"])
     else:
-        if text.words.shape[-1] != params["cmm.fc1.weight"].shape[0]:
-            raise DimensionError("cross_modal_project: embedding width mismatch")
         proj = lambda x: linear(
             linear(x, params["cmm.fc1.weight"], params["cmm.fc1.bias"]).relu(),
             params["cmm.fc2.weight"], params["cmm.fc2.bias"])
-    return TextEmbeddings(words=proj(text.words), sentence=proj(text.sentence))
+    return TextEmbeddings(words=proj(text.words),
+                          sentence=proj(text.sentence.reshape(1, -1)).reshape(-1))
 
 
 def dense_attention(feat, sparse, params, prefix="hda.da0."):
     """Pixel-to-token attention producing dense conditioning rows; returns
-    them, (..., H0*W0, C_v), and their DenseAttentionTrace.
+    them, (..., H0*W0, C_v), and the attention map, (..., H0*W0, L+1), whose
+    rows sum to 1 over [sentence; words], sentence column first.
 
     feat: (..., H0*W0, C_v) patch rows, frames along the leading axes. Each
     row attends over [sentence; words] with scaled dot-product similarity,
@@ -46,7 +39,7 @@ def dense_attention(feat, sparse, params, prefix="hda.da0."):
     attended = attn @ tokens                                                   # (..., HW, C_v)
     dense = linear(concat([attended, feat], axis=-1),
                    params[prefix + "conv.weight"], params[prefix + "conv.bias"])
-    return dense, DenseAttentionTrace(tokens=tokens, attn=attn)
+    return dense, attn
 
 
 def hierarchical_dense_attention(ff, sparse, params):

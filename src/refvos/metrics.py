@@ -12,10 +12,10 @@ from .autodiff import DimensionError
 class Metrics:
     J: float
     F: float
-    JF: float
 
-    def __post_init__(self):
-        assert self.JF == (self.J + self.F) / 2.0
+    @property
+    def JF(self):
+        return (self.J + self.F) / 2.0
 
 
 def _as_bool(mask):
@@ -77,11 +77,11 @@ def evaluate_sequence(preds, gts, tolerance_px=None):
     js = [region_similarity_J(p, g) for p, g in zip(preds, gts)]
     fs = [contour_accuracy_F(p, g, tolerance_px) for p, g in zip(preds, gts)]
     j, f = float(np.mean(js)), float(np.mean(fs))
-    return Metrics(J=j, F=f, JF=(j + f) / 2.0)
+    return Metrics(J=j, F=f)
 
 
 def aggregate(metrics_list):
     """Dataset-level numbers: mean of per-sequence metrics."""
     j = float(np.mean([m.J for m in metrics_list]))
     f = float(np.mean([m.F for m in metrics_list]))
-    return Metrics(J=j, F=f, JF=(j + f) / 2.0)
+    return Metrics(J=j, F=f)

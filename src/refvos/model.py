@@ -246,8 +246,8 @@ class Model:
     # ---- state -----------------------------------------------------------
 
     def partition(self):
-        """(frozen, trainable) parameter names."""
-        frozen = {n for n in self.params if module_of(n) in FROZEN_GROUPS}
+        """(frozen, trainable) parameter names; frozen ones record no gradient."""
+        frozen = {n for n, p in self.params.items() if not p.requires_grad}
         return frozen, set(self.params) - frozen
 
     def trainable_params(self):

@@ -137,13 +137,13 @@ def test_acceptance_2_dense_attention_oracle():
         feat = rng.normal(size=(h0 * w0, c_v))
         sparse = _make_sparse(rng, length, c_v)
         params = _hda_params(rng, c_v, c_v)
-        out, trace = dense_attention(Tensor(feat), sparse, params)
-        expect, attn = _brute_force_dense(feat, sparse.sentence.data,
+        out, attn = dense_attention(Tensor(feat), sparse, params)
+        expect, expect_attn = _brute_force_dense(feat, sparse.sentence.data,
                                           sparse.words.data,
                                           params["hda.da0.conv.weight"].data,
                                           params["hda.da0.conv.bias"].data)
         worst = max(worst, float(np.abs(out.data - expect).max()),
-                    float(np.abs(trace.attn.data - attn).max()))
+                    float(np.abs(attn.data - expect_attn).max()))
     _report(2, f"dense attention vs brute force (max dev {worst:.2e})", worst <= 1e-9)
 
 
@@ -161,9 +161,9 @@ def test_acceptance_3_attention_rows_normalized():
                         params[f"hda.reduce{i}.weight"],
                         params[f"hda.reduce{i}.bias"]) for i in (1, 2, 3)]
         for i, feat in enumerate(feats):
-            _, trace = dense_attention(feat, sparse, params, prefix=f"hda.da{i}.")
-            worst = max(worst, float(np.abs(trace.attn.data.sum(axis=-1) - 1.0).max()))
-            assert np.all(trace.attn.data >= 0)
+            _, attn = dense_attention(feat, sparse, params, prefix=f"hda.da{i}.")
+            worst = max(worst, float(np.abs(attn.data.sum(axis=-1) - 1.0).max()))
+            assert np.all(attn.data >= 0)
     _report(3, f"attention normalization (max dev {worst:.2e})", worst <= 1e-6)
 
 

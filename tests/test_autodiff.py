@@ -7,23 +7,23 @@ from refvos.autodiff import (DimensionError, NonFiniteError, Tensor, attention,
 
 
 def test_linear_identity():
-    y = linear(Tensor([1.0, 2.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
-    assert np.allclose(y.data, [1.0, 2.0])
+    y = linear(Tensor([[1.0, 2.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+    assert np.allclose(y.data, [[1.0, 2.0]])
 
 
 def test_linear_zero_weights():
-    y = linear(Tensor([1.0, 2.0]), Tensor(np.zeros((2, 2))), Tensor([3.0, 4.0]))
-    assert np.allclose(y.data, [3.0, 4.0])
+    y = linear(Tensor([[1.0, 2.0]]), Tensor(np.zeros((2, 2))), Tensor([3.0, 4.0]))
+    assert np.allclose(y.data, [[3.0, 4.0]])
 
 
 def test_linear_hand_computed():
-    y = linear(Tensor([1.0, 2.0]), Tensor([[1.0, 0.0], [1.0, 1.0]]), Tensor([0.0, 1.0]))
-    assert np.allclose(y.data, [3.0, 3.0])
+    y = linear(Tensor([[1.0, 2.0]]), Tensor([[1.0, 0.0], [1.0, 1.0]]), Tensor([0.0, 1.0]))
+    assert np.allclose(y.data, [[3.0, 3.0]])
 
 
 def test_linear_shape_mismatch():
     with pytest.raises(DimensionError):
-        linear(Tensor([1.0, 2.0, 3.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+        linear(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
 
 
 def test_relu():
@@ -59,14 +59,16 @@ def test_layer_norm_definition():
     assert np.allclose(y.data, expect)
 
 
-def test_linear_on_one_patch_row_equals_the_vector_call():
-    # a 1x1 grid is one row; its 1x1 convolution is the 1-D linear call
+def test_linear_refuses_a_rank_1_input():
+    # a single token is a (1, C) row: x, like W, must have rank >= 2
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 5))
     w, b = rng.normal(size=(5, 3)), rng.normal(size=3)
-    y = linear(Tensor(x), Tensor(w), Tensor(b))
-    z = linear(Tensor(x[0]), Tensor(w), Tensor(b))
-    assert y.shape == (1, 3) and np.allclose(y.data[0], z.data)
+    assert linear(Tensor(x), Tensor(w), Tensor(b)).shape == (1, 3)
+    with pytest.raises(DimensionError, match="rank >= 2"):
+        linear(Tensor(x[0]), Tensor(w), Tensor(b))
+    with pytest.raises(DimensionError, match="rank >= 2"):
+        linear(Tensor(x), Tensor(w[:, 0]))
 
 
 def test_linear_over_patch_rows_matches_conv1x1_loop_oracle():
@@ -350,13 +352,8 @@ def test_no_grad_still_raises_nonfinite_with_op_name():
 # ---- fused ops against the composites they replace ---------------------------
 
 def _linear_composite(x, W, b=None):
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = x.reshape(1, -1)
     y = x @ W
-    if b is not None:
-        y = y + b
-    return y.reshape(y.shape[1:]) if squeeze else y
+    return y if b is None else y + b
 
 
 def _softmax_composite(x, axis=-1):
@@ -394,7 +391,7 @@ def _assert_bitwise(fused, composite, arrays, seed=0):
             assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("x_shape", [(6,), (5, 6), (3, 4, 6)])
+@pytest.mark.parametrize("x_shape", [(1, 6), (5, 6), (3, 4, 6)])
 @pytest.mark.parametrize("with_bias", [False, True])
 def test_fused_linear_is_bitwise_the_composite(x_shape, with_bias):
     rng = np.random.default_rng(len(x_shape))
@@ -426,7 +423,7 @@ def test_fused_ops_pass_grad_check():
     c = Tensor(rng.normal(size=(2, 5, 4)))
     checks = [
         (lambda x: (linear(x.reshape(2, 5, 4), W, b) ** 2.0).sum(), 40),
-        (lambda x: (linear(x, W) ** 2.0).sum(), 4),
+        (lambda x: (linear(x.reshape(1, 4), W) ** 2.0).sum(), 4),
         (lambda w: (linear(x2, w.reshape(4, 3), b) ** 2.0).sum(), 12),
         (lambda v: (linear(x2, W, v) ** 2.0).sum(), 3),
         (lambda x: (softmax(x.reshape(2, 5, 4), axis=1) * c).sum(), 40),
@@ -468,7 +465,7 @@ def test_ops_over_inputs_without_gradient_record_nothing():
     for t in outs:
         assert t._parents == () and t._backward is None and not t.requires_grad, t._op
     # a parameter that needs no gradient gets none when another one does
-    v = Tensor([1.0, -1.0], requires_grad=True)
+    v = Tensor([[1.0, -1.0]], requires_grad=True)
     y = layer_norm(linear(v, w, x[0]), x[0], x[1])
     assert y.requires_grad and _records(y)
     y.sum().backward()

@@ -61,6 +61,22 @@ def test_parse_defaults_and_overrides():
     assert cfg.train.lr_decoder == 1e-6
 
 
+@pytest.mark.parametrize("key", ["lr_cmm", "lr_hda", "lr_decoder", "lr_adapter", "lr_itm"])
+def test_every_learning_rate_must_be_finite_and_positive(key):
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigurationError, match=f"train.{key} must be finite"):
+            parse_config(f"train.{key} = {bad}\n")
+    for bad in ("0", "-0.5"):
+        with pytest.raises(ConfigurationError,
+                           match=f"^train.{key} must be finite and > 0, got {float(bad)}$"):
+            parse_config(f"train.{key} = {bad}\n")
+    assert parse_config(f"train.{key} = 0.25\n").learning_rates()[key[3:]] == 0.25
+
+
+def test_learning_rates_are_the_lr_fields_by_group():
+    assert RunConfig().learning_rates() == {"cmm": 1e-4, "hda": 1e-4, "decoder": 1e-6,
+                                            "adapter": 1e-5, "itm": 1e-4}
+
 def test_parse_comments_and_blank_lines():
     cfg = parse_config("# a comment\n\ntrain.seed = 5\n")
     assert cfg.train.seed == 5
@@ -83,9 +99,6 @@ def test_parse_rejects_bad_lines():
         parse_config("train.seed = 1\nmodel.blocks = two\n")
     with pytest.raises(ConfigurationError, match="line 1: bad value for 'train.lr_cmm'"):
         parse_config("train.lr_cmm = fast\n")
-    for bad in ("nan", "inf", "-inf"):
-        with pytest.raises(ConfigurationError, match="train.lr_hda must be finite"):
-            parse_config(f"train.lr_hda = {bad}\n")
     for key, bad in (("train.weight_decay", "nan"), ("train.w_dice", "inf"),
                      ("train.focal_gamma", "nan"), ("train.dice_smooth", "inf"),
                      ("eval.tolerance_px", "nan")):

@@ -207,7 +207,7 @@ def test_evaluate_sequence_matches_frame_loop():
 
 
 def test_aggregate_means():
-    ms = [Metrics(J=1.0, F=0.5, JF=0.75), Metrics(J=0.0, F=0.5, JF=0.25)]
+    ms = [Metrics(J=1.0, F=0.5), Metrics(J=0.0, F=0.5)]
     agg = aggregate(ms)
     assert agg.J == 0.5 and agg.F == 0.5 and agg.JF == 0.5
 

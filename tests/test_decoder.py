@@ -174,10 +174,11 @@ def eager_masks(out, params):
     masks = []
     for i in range(4):
         pre = f"decoder.hyper{i}."
-        k = linear(tokens[1 + i], params[pre + "fc1.weight"], params[pre + "fc1.bias"]).relu()
+        k = linear(tokens[1 + i:2 + i], params[pre + "fc1.weight"],
+                   params[pre + "fc1.bias"]).relu()
         k = linear(k, params[pre + "fc2.weight"], params[pre + "fc2.bias"]).relu()
         k = linear(k, params[pre + "fc3.weight"], params[pre + "fc3.bias"])
-        masks.append((k.reshape(1, c_up) @ up.reshape(c_up, h * w)).reshape(h, w))
+        masks.append((k @ up.reshape(c_up, h * w)).reshape(h, w))
     return masks
 
 

@@ -90,9 +90,11 @@ def test_cross_modal_matches_mlp_oracle():
     assert np.allclose(sp.words.data, expect)
 
 
-def test_cross_modal_width_mismatch():
+@pytest.mark.parametrize("mlp", [True, False], ids=["mlp", "single_projection"])
+def test_cross_modal_width_mismatch(mlp):
+    # the words are 9 wide where the first weight takes 8: its `linear` raises
     rng = np.random.default_rng(3)
-    params = cmm_params(rng, 8, 8, 8)
+    params = cmm_params(rng, 8, 8, 8) if mlp else random_params(rng, ("cmm.proj", 8, 8))
     with pytest.raises(DimensionError):
         cross_modal_project(make_text(rng, width=9), params)
 
@@ -103,8 +105,8 @@ def test_dense_attention_symmetric_single_pixel():
     vec = rng.normal(size=c_v)
     sparse = TextEmbeddings(words=Tensor(vec[None]), sentence=Tensor(vec.copy()))
     params = hda_params(rng, c_v, c_v)
-    _, trace = dense_attention(Tensor(rng.normal(size=(1, c_v))), sparse, params)
-    assert np.allclose(trace.attn.data, [[0.5, 0.5]])
+    _, attn = dense_attention(Tensor(rng.normal(size=(1, c_v))), sparse, params)
+    assert np.allclose(attn.data, [[0.5, 0.5]])
 
 
 def test_dense_attention_rows_sum_to_one():
@@ -114,19 +116,9 @@ def test_dense_attention_rows_sum_to_one():
     for _ in range(30):
         sparse = make_sparse(rng, int(rng.integers(1, 4)), c_v)
         feat = Tensor(rng.normal(size=(6, c_v)))
-        _, trace = dense_attention(feat, sparse, params)
-        assert np.all(trace.attn.data >= 0)
-        assert np.allclose(trace.attn.data.sum(axis=-1), 1.0, atol=1e-6)
-
-
-def test_dense_attention_trace_layout():
-    rng = np.random.default_rng(6)
-    c_v = 4
-    sparse = make_sparse(rng, 2, c_v)
-    params = hda_params(rng, c_v, c_v)
-    _, trace = dense_attention(Tensor(rng.normal(size=(4, c_v))), sparse, params)
-    assert np.array_equal(trace.tokens.data[0], sparse.sentence.data)
-    assert np.array_equal(trace.tokens.data[1:], sparse.words.data)
+        _, attn = dense_attention(feat, sparse, params)
+        assert np.all(attn.data >= 0)
+        assert np.allclose(attn.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_dense_attention_matches_brute_force():
@@ -138,12 +130,12 @@ def test_dense_attention_matches_brute_force():
         feat = rng.normal(size=(h0 * w0, c_v))
         sparse = make_sparse(rng, length, c_v)
         params = hda_params(rng, c_v, c_v)
-        out, trace = dense_attention(Tensor(feat), sparse, params)
-        expect, attn = brute_force_dense(feat, sparse.sentence.data, sparse.words.data,
+        out, attn = dense_attention(Tensor(feat), sparse, params)
+        expect, expect_attn = brute_force_dense(feat, sparse.sentence.data, sparse.words.data,
                                          params["hda.da0.conv.weight"].data,
                                          params["hda.da0.conv.bias"].data)
         assert np.allclose(out.data, expect, atol=1e-9)
-        assert np.allclose(trace.attn.data, attn, atol=1e-9)
+        assert np.allclose(attn.data, expect_attn, atol=1e-9)
 
 
 def test_dense_attention_channel_mismatch():
@@ -162,10 +154,10 @@ def test_word_permutation_permutes_attention_columns():
     perm = [2, 0, 1]
     permuted = TextEmbeddings(words=Tensor(sparse.words.data[perm]),
                               sentence=Tensor(sparse.sentence.data.copy()))
-    out_a, tr_a = dense_attention(feat, sparse, params)
-    out_b, tr_b = dense_attention(feat, permuted, params)
-    assert np.allclose(tr_b.attn.data[:, 1:], tr_a.attn.data[:, 1:][:, perm])
-    assert np.allclose(tr_b.attn.data[:, 0], tr_a.attn.data[:, 0])
+    out_a, attn_a = dense_attention(feat, sparse, params)
+    out_b, attn_b = dense_attention(feat, permuted, params)
+    assert np.allclose(attn_b.data[:, 1:], attn_a.data[:, 1:][:, perm])
+    assert np.allclose(attn_b.data[:, 0], attn_a.data[:, 0])
     assert np.allclose(out_b.data, out_a.data, atol=1e-12)
 
 
@@ -195,15 +187,15 @@ def test_hda_stack_equals_per_frame_calls():
                        mids=[Tensor(rng.normal(size=(frames, 6, c_mid))) for _ in range(3)],
                        grid=(3, 2))
     total = hierarchical_dense_attention(ff, sparse, params)
-    out, trace = dense_attention(ff.final, sparse, params)
+    out, attn = dense_attention(ff.final, sparse, params)
     assert total.shape == (frames, 6, c_v)
     for t in range(frames):
         one_ff = FrameFeatures(final=ff.final[t], mids=[m[t] for m in ff.mids], grid=ff.grid)
         assert np.array_equal(total[t].data,
                               hierarchical_dense_attention(one_ff, sparse, params).data)
-        one, one_trace = dense_attention(ff.final[t], sparse, params)
+        one, one_attn = dense_attention(ff.final[t], sparse, params)
         assert np.array_equal(out[t].data, one.data)
-        assert np.array_equal(trace.attn.data[t], one_trace.attn.data)
+        assert np.array_equal(attn.data[t], one_attn.data)
 
 
 def test_grad_check_through_projection_and_attention():

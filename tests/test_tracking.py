@@ -37,7 +37,7 @@ def default_lrs(**kw):
 def test_track_update_zero_init_is_layer_norm():
     rng = np.random.default_rng(0)
     params = toy_model(channels=16).params
-    e_m = Tensor(rng.normal(size=16))
+    e_m = Tensor(rng.normal(size=(1, 16)))
     out = track_update(e_m, params)
     expect = layer_norm(e_m, params["itm.ln.gamma"], params["itm.ln.beta"])
     assert np.array_equal(out.data, expect.data)
@@ -45,7 +45,7 @@ def test_track_update_zero_init_is_layer_norm():
 
 def test_track_update_zero_input_zero_output():
     params = toy_model(channels=8).params
-    out = track_update(Tensor(np.zeros(8)), params)
+    out = track_update(Tensor(np.zeros((1, 8))), params)
     assert np.allclose(out.data, 0.0)
 
 
@@ -54,7 +54,7 @@ def test_track_update_matches_composed_oracle():
     params = {f"itm.{name}": Tensor(rng.normal(size=shape)) for name, shape in (
         ("fc1.weight", (4, 4)), ("fc1.bias", 4), ("fc2.weight", (4, 4)), ("fc2.bias", 4),
         ("ln.gamma", 4), ("ln.beta", 4))}
-    e_m = Tensor(rng.normal(size=4))
+    e_m = Tensor(rng.normal(size=(1, 4)))
     out = track_update(e_m, params)
     h = linear(e_m, params["itm.fc1.weight"], params["itm.fc1.bias"]).relu()
     r = linear(h, params["itm.fc2.weight"], params["itm.fc2.bias"])
@@ -371,9 +371,9 @@ def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
     opt = AdamW(model.trainable_params(), default_lrs())
     step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
     step()
-    assert _count_ops(monkeypatch, step).total() == 473
+    assert _count_ops(monkeypatch, step).total() == 475
     long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
-    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 1953
+    assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 1955
 
 
 @pytest.mark.parametrize("frames", [1, 3])
@@ -463,6 +463,22 @@ def test_perfbench_tracer_finds_its_entry_points_and_counts_ops(monkeypatch):
         tracer.uninstall()
     assert autodiff._make is make
 
+
+def test_perfbench_self_test_passes(monkeypatch, tmp_path):
+    # the benchmark's output checks agree with its plain-numpy reference on
+    # the program, and each fails with one weight perturbed
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    work = os.path.join(root, "perfbench", "work")
+    had_work = os.path.exists(work)
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    for name in ("checks", "weights", "reference"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # write nothing into perfbench/
+    weights = importlib.import_module("weights")
+    monkeypatch.setattr(weights, "WORK", tmp_path)
+    monkeypatch.setattr(weights, "WEIGHTS", tmp_path / "weights")
+    assert importlib.import_module("checks").self_test() == 0
+    assert os.path.exists(work) == had_work
 
 def _composite_attention(q_in, kv_in, params, prefix):
     """encoder.attention as the chain of ops it was before its fusion."""
