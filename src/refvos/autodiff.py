@@ -100,20 +100,17 @@ def _sigmoid(d):
     return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _unbroadcast(grad, shape):
-    """Sum a broadcasted gradient back down to `shape`."""
+def _sum_to(grad, shape):
+    """A broadcast gradient summed back down to `shape`."""
+    grad = np.asarray(grad)
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def _sum_to(grad, shape):
-    """`grad` summed down to `shape`, as `Tensor._accum` stores it."""
-    grad = np.asarray(grad)
-    return grad if grad.shape == shape else _unbroadcast(grad, shape).reshape(shape)
+    return grad.reshape(shape)
 
 
 class Tensor:
@@ -143,7 +140,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self._op})"
 
     def detach(self):
-        return Tensor(self.data.copy())
+        # shares the data: no op writes a tensor's data in place, and it is finite
+        return _leaf(self.data, False)
 
     def _accum(self, g):
         if not self.requires_grad:
@@ -226,9 +224,6 @@ class Tensor:
         other = _as_tensor(other, self.dtype)
         return self * other ** -1.0
 
-    def __rtruediv__(self, other):
-        return _as_tensor(other, self.dtype) * self ** -1.0
-
     def __pow__(self, p):
         p = float(p)
         return _record(self.data ** p, (self,), "pow",
@@ -269,29 +264,19 @@ class Tensor:
     # ---- structural -----------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return _record(self.data.reshape(shape), (self,), "reshape",
                        lambda g: self._accum(g.reshape(self.data.shape)))
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
         return _record(self.data.transpose(axes), (self,), "transpose",
                        lambda g: self._accum(g.transpose(np.argsort(axes))))
-
-    @property
-    def T(self):
-        return self.transpose()
 
     @property
     def mT(self):
         """The transpose of the last two axes, over any leading axes."""
         axes = list(range(self.data.ndim))
         axes[-2:] = axes[-1], axes[-2]
-        return self.transpose(axes)
+        return self.transpose(*axes)
 
     def __getitem__(self, idx):
         # basic indices only: no element is read twice, so backward is a plain +=
@@ -418,7 +403,7 @@ def _softmax(x, axis, op):
 
     def backward(g):
         # e * r, r = s ** -1, s = e.sum: e gets g * r, then the sum's share
-        gs = _unbroadcast(g * e, r.shape) * -1.0 * s ** -2.0
+        gs = _sum_to(g * e, r.shape) * -1.0 * s ** -2.0
         return (g * r + gs) * e
 
     return e * r, backward
@@ -502,17 +487,15 @@ def attention(q_in, Wq, bq, k, v, Wo, bo):
                    "attention", bwd)
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize over the last axis, then scale and shift, as one op."""
-    if eps <= 0:
-        raise DimensionError("layer_norm: eps must be > 0")
+def layer_norm(x, gamma, beta):
+    """Normalize over the last axis (eps 1e-6), then scale and shift, as one op."""
     xd = x.data
     inv_n = np.asarray(1.0 / xd.shape[-1], dtype=xd.dtype)
     xc = xd + (-(xd.sum(axis=-1, keepdims=True) * inv_n))
     var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
     # an overflow in xc * xc gives var = inf and a finite output of beta
     _check_finite(var, "layer_norm")
-    ve = var + np.asarray(eps, dtype=var.dtype)
+    ve = var + np.asarray(1e-6, dtype=var.dtype)
     rs = ve ** -0.5
     a = xc * rs
     scaled = a * gamma.data
@@ -526,11 +509,11 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         if not x.requires_grad:
             return
         ga = g * gamma.data
-        grs = _unbroadcast(ga * xc, rs.shape)
+        grs = _sum_to(ga * xc, rs.shape)
         gsq = grs * -0.5 * ve ** -1.5 * inv_n
         gxc = ga * rs + gsq * xc + gsq * xc
         x._accum(gxc)
-        x._accum(np.broadcast_to(-_unbroadcast(gxc, rs.shape) * inv_n, xd.shape))
+        x._accum(np.broadcast_to(-_sum_to(gxc, rs.shape) * inv_n, xd.shape))
 
     return _record(scaled + beta.data, (x, gamma, beta), "layer_norm", bwd)
 
@@ -592,16 +575,15 @@ def transposed_conv_upscale(x, W, b=None):
         if W.requires_grad:
             W._accum(np.matmul(x2.swapaxes(-1, -2), gy).reshape(W.shape))
         if b is not None and b.requires_grad:
-            b._accum(_unbroadcast(g, (cout, 1, 1)).reshape(cout))
+            b._accum(_sum_to(g, (cout, 1, 1)).reshape(cout))
 
     return _record(y if b is None else y + b.data.reshape(cout, 1, 1),
                    (x, W) if b is None else (x, W, b), "transposed_conv_upscale", bwd)
 
 
-def grad_check(f, x, eps=1e-5, indices=None):
-    """Max relative error between the analytic gradient of f at x and
-    central differences. `indices` restricts the probe to a coordinate
-    subset (flat indices); default checks every coordinate."""
+def grad_check(f, x, eps=1e-5):
+    """Max relative error, over every coordinate, between the analytic
+    gradient of f at x and central differences."""
     if not (1e-6 <= eps <= 1e-3):
         raise ValueError("grad_check: eps must lie in [1e-6, 1e-3]")
     x = Tensor(np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64),
@@ -612,10 +594,8 @@ def grad_check(f, x, eps=1e-5, indices=None):
     y.backward()
     analytic = np.zeros(x.data.size) if x.grad is None else x.grad.reshape(-1)
     flat = x.data.reshape(-1)
-    if indices is None:
-        indices = range(flat.size)
     worst = 0.0
-    for i in indices:
+    for i in range(flat.size):
         orig = flat[i]
         with no_grad():
             flat[i] = orig + eps

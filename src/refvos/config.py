@@ -56,8 +56,9 @@ class RunConfig:
         for name in ("train", "data"):
             section = getattr(self, name)
             for f in fields(section):
-                if f.type is int and f.name != "seed" and getattr(section, f.name) < 1:
-                    raise ConfigurationError(f"{name}.{f.name} must be >= 1")
+                low = 0 if f.name == "seed" else 1
+                if f.type is int and getattr(section, f.name) < low:
+                    raise ConfigurationError(f"{name}.{f.name} must be >= {low}")
         for group, lr in self.learning_rates().items():
             if not (math.isfinite(lr) and lr > 0):
                 raise ConfigurationError(f"train.lr_{group} must be finite and > 0, got {lr}")

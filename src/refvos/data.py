@@ -69,8 +69,8 @@ def _raster(shape, size, cy, cx, h, w):
 def generate_clip(spec):
     """Deterministically build (VideoClip, ReferringExpression, gt masks).
 
-    Exactly one object matches the generated expression; objects live in
-    disjoint quadrants so they never overlap or leave the canvas.
+    Objects take distinct (shape, color) pairs, so exactly one matches the
+    expression, and disjoint quadrants, so none overlap or leave the canvas.
     """
     rng = np.random.default_rng(spec.seed)
     n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
@@ -104,10 +104,6 @@ def generate_clip(spec):
 
     referred = int(rng.integers(0, n_obj))
     ref = objects[referred]
-    for j, o in enumerate(objects):
-        if j != referred and (o["shape"], o["color"], o["motion"]) == (
-                ref["shape"], ref["color"], ref["motion"]):
-            raise GenerationError("referred object is not unique")
     if ref["motion"] == "static":
         words = ["the", "static", ref["color"], ref["shape"]]
     else:

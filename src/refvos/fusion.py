@@ -35,7 +35,7 @@ def dense_attention(feat, sparse, params, prefix="hda.da0."):
     if sparse.words.shape[-1] != c_v:
         raise DimensionError("dense_attention: token width must equal feature channels")
     tokens = concat([sparse.sentence.reshape(1, c_v), sparse.words], axis=0)   # (L+1, C_v)
-    attn = softmax(feat @ tokens.T * (1.0 / np.sqrt(c_v)), axis=-1)
+    attn = softmax(feat @ tokens.mT * (1.0 / np.sqrt(c_v)), axis=-1)
     attended = attn @ tokens                                                   # (..., HW, C_v)
     dense = linear(concat([attended, feat], axis=-1),
                    params[prefix + "conv.weight"], params[prefix + "conv.bias"])

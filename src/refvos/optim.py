@@ -4,6 +4,9 @@ import numpy as np
 
 from .autodiff import NonFiniteError
 
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 def module_of(name):
     """Map a parameter name to its learning-rate group."""
@@ -27,15 +30,12 @@ class _Group:
 
 
 class AdamW:
-    def __init__(self, params, lr_by_module, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=1e-4):
+    def __init__(self, params, lr_by_module, weight_decay=1e-4):
         """params: dict name -> Tensor (trainable only).
         lr_by_module: dict group name -> learning rate; KeyError if a
         parameter's group has none."""
         self.params = dict(params)
         self.lr_by_module = dict(lr_by_module)
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         groups = {}
@@ -59,7 +59,7 @@ class AdamW:
         or values are not finite (an overflowing gradient or g * g), before
         any parameter, moment or `t` changes."""
         t = self.t + 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         c1 = 1.0 - b1 ** t
         c2 = 1.0 - b2 ** t
         staged = []
@@ -71,7 +71,7 @@ class AdamW:
             lr = float(self.lr_by_module[group.module])
             m = b1 * group.m + (1 - b1) * g
             v = b2 * group.v + (1 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + EPS)
             new = data - lr * (update + self.weight_decay * data)
             if not (np.isfinite(v).all() and np.isfinite(new).all()):
                 raise NonFiniteError(f"AdamW update of group '{group.module}' is not finite")

@@ -52,11 +52,43 @@ def test_layer_norm_definition():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 6))
     g, b = rng.normal(size=6), rng.normal(size=6)
-    y = layer_norm(Tensor(x), Tensor(g), Tensor(b), eps=1e-6)
+    y = layer_norm(Tensor(x), Tensor(g), Tensor(b))
     mu = x.mean(-1, keepdims=True)
     var = x.var(-1, keepdims=True)
     expect = (x - mu) / np.sqrt(var + 1e-6) * g + b
     assert np.allclose(y.data, expect)
+
+
+_ROW, _W, _B = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), Tensor(np.ones(3))
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: Tensor([1.0, 2.0]) @ Tensor(np.eye(2)), "rank >= 2"),
+    (lambda: attention(Tensor(np.ones(3)), _W, _B, _ROW, _ROW, _W, _B), "rank >= 2"),
+    (lambda: attention(Tensor(np.ones((2, 4))), _W, _B, _ROW, _ROW, _W, _B),
+     "query width 4 vs weight 3"),
+    (lambda: attention(_ROW, _W, _B, _ROW, Tensor(np.ones((2, 4))), _W, _B),
+     "value width 4 vs weight 3"),
+    (lambda: transposed_conv_upscale(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 1, 2, 2)))),
+     "bad ranks"),
+    (lambda: transposed_conv_upscale(Tensor(np.ones((2, 3, 3))), Tensor(np.ones((2, 1, 3, 3)))),
+     "weight shape mismatch"),
+], ids=["matmul-rank-1", "attention-rank-1", "attention-query-width",
+        "attention-value-width", "upscale-rank", "upscale-weight-shape"])
+def test_ops_refuse_operands_of_the_wrong_shape(op, message):
+    with pytest.raises(DimensionError, match=message):
+        op()
+
+
+def test_detach_shares_the_data_and_records_nothing():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    y = x * 3.0
+    d = y.detach()
+    assert d.data is y.data
+    assert not d.requires_grad and d._parents == () and d._backward is None
+    assert d._op == "leaf" and d.grad is None
+    (d * x).sum().backward()     # the walk stops at d: y's closure never runs
+    assert np.array_equal(x.grad, y.data) and y._backward is not None
 
 
 def test_linear_refuses_a_rank_1_input():

@@ -169,6 +169,7 @@ def test_train_zero_model_size_exits_4(tmp_path, capsys, key):
     ("train.w_dice = -1", "train.w_dice must be >= 0"),
     ("train.checkpoint_interval = 0", "train.checkpoint_interval must be >= 1"),
     ("train.steps = 0", "train.steps must be >= 1"),
+    ("train.seed = -2", "train.seed must be >= 0"),
     ("data.clips = 0", "data.clips must be >= 1"),
     ("data.height = 16", "data.height must be >= 32"),
     ("data.max_objects = 5", "data.max_objects must lie in min_objects..4"),
@@ -313,6 +314,14 @@ def test_generate_small_canvas_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_negative_seed_exits_4_before_writing(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path, extra="train.seed = -1001\n")
+    out = tmp_path / "data"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_SHAPE_MISMATCH
+    assert "train.seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---- train / eval / infer ---------------------------------------------------
 
 def test_train_log_format_and_checkpoint(tmp_path, capsys):
@@ -378,6 +387,24 @@ def test_eval_without_checkpoint_or_predictions_fails(tmp_path):
     data = tmp_path / "data"
     main(["generate", "--config", cfg, "--out", str(data)])
     assert main(["eval", "--config", cfg, "--data", str(data)]) == EXIT_FAILURE
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda pred: os.remove(pred / "00002.pgm"), "eval: 2 predictions for 3 frames"),
+    (lambda pred: write_pgm(pred / "00001.pgm", np.zeros((32, 32), np.uint8)),
+     "region_similarity_J: shape mismatch"),
+], ids=["one-mask-short", "wrong-size-mask"])
+def test_eval_predictions_that_do_not_fit_the_clip_exit_4(tmp_path, capsys, damage, message):
+    cfg = write_toy_config(tmp_path, extra="data.clips = 1\n")
+    data, preds = tmp_path / "data", tmp_path / "preds"
+    main(["generate", "--config", cfg, "--out", str(data)])
+    shutil.copytree(data / "clip0000" / "masks", preds / "clip0000")
+    damage(preds / "clip0000")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--data", str(data),
+                 "--predictions", str(preds)]) == EXIT_SHAPE_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
 
 
 def test_eval_corrupt_checkpoint_exit_code(tmp_path):
@@ -447,11 +474,17 @@ def _small_mask(clip):
     write_pgm(clip / "masks" / "00001.pgm", np.zeros((32, 32), np.uint8))
 
 
-@pytest.mark.parametrize("damage, command", [
-    (_empty_clip, "eval"), (_mixed_size_frames, "infer"), (_missing_mask, "train"),
-    (_small_mask, "overlay"),
-], ids=["empty-eval", "mixed-sizes-infer", "missing-mask-train", "small-mask-overlay"])
-def test_malformed_clip_exits_4(tmp_path, capsys, damage, command):
+@pytest.mark.parametrize("damage, command, message", [
+    (_empty_clip, "eval", "has no frames"),
+    (_mixed_size_frames, "infer", "frames of clip"),
+    (_missing_mask, "train", "has 2 masks for 3 frames"),
+    (_small_mask, "overlay", "overlay: mask 00001.pgm and frame 00001.ppm differ in size"),
+    (_small_mask, "eval", "differ in size from its frames"),
+    (_small_mask, "train", "differ in size from its frames"),
+    (_missing_mask, "overlay", "overlay: frame and mask counts differ"),
+], ids=["empty-eval", "mixed-sizes-infer", "missing-mask-train", "small-mask-overlay",
+        "small-mask-eval", "small-mask-train", "missing-mask-overlay"])
+def test_malformed_clip_exits_4(tmp_path, capsys, damage, command, message):
     data = tmp_path / "data"   # one clip, so train samples the damaged one
     cfg = write_toy_config(tmp_path, steps=1, extra=f"data.clips = 1\ndata.root = {data}\n")
     main(["generate", "--config", cfg, "--out", str(data)])
@@ -467,7 +500,8 @@ def test_malformed_clip_exits_4(tmp_path, capsys, damage, command):
                         "--out", str(tmp_path / "vis")]}[command]
     capsys.readouterr()
     assert main(argv) == EXIT_SHAPE_MISMATCH
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["eval-checkpoint", "eval-predictions", "train"])

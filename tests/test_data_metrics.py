@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refvos.autodiff import DimensionError
 from refvos.data import (COLORS, MOTIONS, SHAPES, SyntheticSpec, generate_clip,
                          list_clips, read_clip, write_clip, write_dataset)
 from refvos.io import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
@@ -11,6 +12,26 @@ from refvos.metrics import (Metrics, aggregate, boundary_pixels,
 
 
 # ---- synthetic clips ------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda path: region_similarity_J(np.zeros((2, 2)), np.zeros((2, 3))),
+     DimensionError, "region_similarity_J: shape mismatch"),
+    (lambda path: contour_accuracy_F(np.zeros((2, 2)), np.zeros((3, 2))),
+     DimensionError, "contour_accuracy_F: shape mismatch"),
+    (lambda path: evaluate_sequence([np.zeros((2, 2))], []),
+     DimensionError, "evaluate_sequence: length mismatch"),
+    (lambda path: write_pgm(path / "m.pgm", np.full((2, 2), 2, np.uint8)),
+     ValueError, "binary H x W mask"),
+    (lambda path: write_ppm(path / "f.ppm", np.zeros((2, 2))),
+     ValueError, r"\(3, H, W\) frame"),
+    (lambda path: SyntheticSpec(frames=0), ValueError, "frames must be >= 1"),
+    (lambda path: SyntheticSpec(min_objects=0), ValueError, "min_objects must be >= 1"),
+], ids=["j-shapes", "f-shapes", "sequence-lengths", "pgm-non-binary", "ppm-rank",
+        "spec-frames", "spec-min-objects"])
+def test_data_metrics_and_io_refuse_bad_input(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
 
 def test_generate_deterministic():
     spec = SyntheticSpec(seed=5)

@@ -6,7 +6,7 @@ import pytest
 from refvos.autodiff import DimensionError, Tensor, layer_norm, linear
 from refvos.encoder import (MAX_WORDS, ConfigurationError, ReferringExpression,
                             adapter_forward, encode_frame, encode_text,
-                            pool_sentence)
+                            pool_sentence, sinusoidal_grid)
 from refvos.model import Model, ModelConfig
 
 SMALL_TEXT = dict(text_width=8, vocab_size=8, hidden=8)
@@ -91,6 +91,17 @@ def test_encode_frame_stack_equals_per_frame_calls():
             assert np.array_equal(stacked.final.data[i, t], one.final.data)
             for a, b in zip(stacked.mids, one.mids, strict=True):
                 assert np.array_equal(a.data[i, t], b.data)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: encode_frame(np.zeros((64, 64)), toy_cfg(), toy_params(toy_cfg())),
+     DimensionError, r"frame must be \(\.\.\., 3, H, W\)"),
+    (lambda: pool_sentence(Tensor(np.zeros((0, 8)))), DimensionError, "at least one word"),
+    (lambda: sinusoidal_grid(6, 2, 2), ConfigurationError, "divisible by 4"),
+], ids=["rank-2-frame", "no-words", "grid-width"])
+def test_encoder_refuses_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_encode_frame_rejects_mixed_sizes():

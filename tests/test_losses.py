@@ -43,6 +43,11 @@ def test_dice_rejects_bad_inputs():
         dice_loss(Tensor(np.zeros((2, 2))), np.full((2, 2), 0.5), cfg())
 
 
+def test_focal_rejects_a_non_binary_target():
+    with pytest.raises(ValueError, match="focal_loss: target must be binary"):
+        focal_loss(Tensor(np.zeros((2, 2))), np.full((2, 2), 0.5), cfg())
+
+
 def test_focal_reduces_to_half_bce():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(4, 4))
@@ -105,6 +110,8 @@ def test_loss_config_validation():
         LossConfig(dice_smooth=0.0)
     with pytest.raises(ValueError):
         LossConfig(w_dice=0.0, w_focal=0.0)
+    with pytest.raises(ValueError, match="focal_gamma must be >= 0"):
+        LossConfig(focal_gamma=-1)
 
 
 # ---- the fused losses against the chains they replace --------------------------
