@@ -9,10 +9,10 @@ import numpy as np
 from .autodiff import DimensionError, NonFiniteError
 from .config import load_config
 from .data import (GenerationError, VideoClip, clip_spec, generate_clip, list_clips,
-                   read_clip, read_frames, write_dataset)
-from .encoder import ConfigurationError, ReferringExpression
-from .io import (CheckpointError, ParseError, from_8bit, load_checkpoint, read_pgm,
-                 read_ppm, save_checkpoint, to_8bit, write_pgm, write_ppm)
+                   parse_expression, read_clip, read_expression, read_frames, read_masks,
+                   write_dataset, write_frames, write_masks)
+from .encoder import ConfigurationError
+from .io import CheckpointError, ParseError, from_8bit, load_checkpoint, save_checkpoint, to_8bit
 from .metrics import aggregate, evaluate_sequence
 from .model import SEED_SAMPLER, Model, model_from_checkpoint
 from .optim import AdamW
@@ -75,12 +75,6 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _read_prediction_masks(pred_root, clip_dir):
-    pred_dir = os.path.join(pred_root, os.path.basename(clip_dir))
-    names = sorted(os.listdir(pred_dir))
-    return [read_pgm(os.path.join(pred_dir, name)) for name in names]
-
-
 def cmd_eval(args):
     cfg = load_config(args.config)
     tol = cfg.eval.tolerance_px
@@ -89,11 +83,8 @@ def cmd_eval(args):
     if args.predictions:
         # score precomputed mask directories, no model needed
         metrics = []
-        for d, (_, _, gts) in zip(dirs, clips):
-            preds = _read_prediction_masks(args.predictions, d)
-            if len(preds) != len(gts):
-                raise DimensionError(
-                    f"eval: {len(preds)} predictions for {len(gts)} frames in {d}")
+        for d, (clip, _, gts) in zip(dirs, clips):
+            preds = read_masks(os.path.join(args.predictions, os.path.basename(d)), clip.frames)
             metrics.append(evaluate_sequence(preds, gts, tol))
         m = aggregate(metrics)
     else:
@@ -107,37 +98,27 @@ def cmd_eval(args):
 
 def cmd_infer(args):
     model = model_from_checkpoint(load_checkpoint(args.checkpoint))
-    if args.expr:
-        clip = VideoClip(frames=read_frames(args.clip))
-        expr = ReferringExpression(words=args.expr.lower().split())
-    else:
-        clip, expr, _ = read_clip(args.clip, with_masks=False)
-    out_dir = args.out or os.path.join(args.clip, "predictions")
-    os.makedirs(out_dir, exist_ok=True)
+    clip = VideoClip(frames=read_frames(args.clip))
+    expr = parse_expression(args.expr) if args.expr else read_expression(args.clip)
     masks = segment_clip(model, clip, expr)
-    for t, mask in enumerate(masks):
-        write_pgm(os.path.join(out_dir, f"{t:05d}.pgm"), mask)
+    out_dir = args.out or os.path.join(args.clip, "predictions")
+    write_masks(out_dir, masks)
     print(f"wrote {len(masks)} masks to {out_dir}")
     return EXIT_OK
 
 
 def cmd_overlay(args):
-    frames_dir = os.path.join(args.clip, "frames")
-    os.makedirs(args.out, exist_ok=True)
-    names = sorted(os.listdir(frames_dir))
-    mask_names = sorted(os.listdir(args.masks))
-    if len(names) != len(mask_names):
-        raise DimensionError("overlay: frame and mask counts differ")
+    frames = read_frames(args.clip)
+    masks = read_masks(args.masks, frames)
     tint = np.array([1.0, 0.2, 0.2])
-    for name, mname in zip(names, mask_names):
-        frame = read_ppm(os.path.join(frames_dir, name))
-        mask = read_pgm(os.path.join(args.masks, mname)).astype(bool)
-        if mask.shape != frame.shape[1:]:
-            raise DimensionError(f"overlay: mask {mname} and frame {name} differ in size")
+    overlays = []
+    for frame, mask in zip(frames, masks):
+        mask = mask.astype(bool)
         out = frame.copy()
         out[:, mask] = 0.5 * out[:, mask] + 0.5 * tint[:, None]
-        write_ppm(os.path.join(args.out, os.path.splitext(name)[0] + ".ppm"), out)
-    print(f"wrote {len(names)} overlays to {args.out}")
+        overlays.append(out)
+    write_frames(args.out, overlays)
+    print(f"wrote {len(overlays)} overlays to {args.out}")
     return EXIT_OK
 
 

@@ -125,16 +125,29 @@ def generate_clip(spec):
 
 
 # ---- on-disk layout -------------------------------------------------------
+# A clip folder holds frames/%05d.ppm, masks/%05d.pgm (one mask per frame, of
+# the frame's size) and expression.txt; files are read in name order.
+
+def parse_expression(text):
+    """The ReferringExpression of a text: its words, lowercased."""
+    return ReferringExpression(words=text.lower().split())
+
+
+def write_frames(folder, frames):
+    os.makedirs(folder, exist_ok=True)
+    for t, frame in enumerate(frames):
+        write_ppm(os.path.join(folder, f"{t:05d}.ppm"), frame)
+
+
+def write_masks(folder, masks):
+    os.makedirs(folder, exist_ok=True)
+    for t, mask in enumerate(masks):
+        write_pgm(os.path.join(folder, f"{t:05d}.pgm"), mask)
+
 
 def write_clip(clip_dir, clip, expr, masks):
-    frames_dir = os.path.join(clip_dir, "frames")
-    masks_dir = os.path.join(clip_dir, "masks")
-    os.makedirs(frames_dir, exist_ok=True)
-    os.makedirs(masks_dir, exist_ok=True)
-    for t, frame in enumerate(clip.frames):
-        write_ppm(os.path.join(frames_dir, f"{t:05d}.ppm"), frame)
-    for t, mask in enumerate(masks):
-        write_pgm(os.path.join(masks_dir, f"{t:05d}.pgm"), mask)
+    write_frames(os.path.join(clip_dir, "frames"), clip.frames)
+    write_masks(os.path.join(clip_dir, "masks"), masks)
     with open(os.path.join(clip_dir, "expression.txt"), "w", encoding="utf-8") as fh:
         fh.write(" ".join(expr.words) + "\n")
 
@@ -153,21 +166,27 @@ def read_frames(clip_dir):
     return frames
 
 
-def read_clip(clip_dir, with_masks=True):
-    """(VideoClip, ReferringExpression, masks or None) of a clip directory;
-    DimensionError unless the frames, and masks if read, match one-to-one in size."""
-    frames = read_frames(clip_dir)
-    size = frames[0].shape[1:]
+def read_expression(clip_dir):
     with open(os.path.join(clip_dir, "expression.txt"), encoding="utf-8") as fh:
-        expr = ReferringExpression(words=fh.readline().split())
-    masks = None
-    if with_masks:
-        masks_dir = os.path.join(clip_dir, "masks")
-        masks = [read_pgm(os.path.join(masks_dir, n)) for n in sorted(os.listdir(masks_dir))]
-        if len(masks) != len(frames):
-            raise DimensionError(f"clip {clip_dir} has {len(masks)} masks for {len(frames)} frames")
-        if any(m.shape != size for m in masks):
-            raise DimensionError(f"masks of clip {clip_dir} differ in size from its frames")
+        return parse_expression(fh.readline())
+
+
+def read_masks(masks_dir, frames):
+    """The masks of a folder; DimensionError unless they match `frames`
+    one-to-one in size."""
+    masks = [read_pgm(os.path.join(masks_dir, n)) for n in sorted(os.listdir(masks_dir))]
+    if len(masks) != len(frames):
+        raise DimensionError(f"{masks_dir} has {len(masks)} masks for {len(frames)} frames")
+    if any(m.shape != frames[0].shape[1:] for m in masks):
+        raise DimensionError(f"{masks_dir} has masks that differ in size from its frames")
+    return masks
+
+
+def read_clip(clip_dir):
+    """(VideoClip, ReferringExpression, masks) of a clip directory."""
+    frames = read_frames(clip_dir)
+    expr = read_expression(clip_dir)
+    masks = read_masks(os.path.join(clip_dir, "masks"), frames)
     return VideoClip(frames=frames), expr, masks
 
 

@@ -390,9 +390,9 @@ def test_eval_without_checkpoint_or_predictions_fails(tmp_path):
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda pred: os.remove(pred / "00002.pgm"), "eval: 2 predictions for 3 frames"),
+    (lambda pred: os.remove(pred / "00002.pgm"), "preds/clip0000 has 2 masks for 3 frames"),
     (lambda pred: write_pgm(pred / "00001.pgm", np.zeros((32, 32), np.uint8)),
-     "region_similarity_J: shape mismatch"),
+     "preds/clip0000 has masks that differ in size from its frames"),
 ], ids=["one-mask-short", "wrong-size-mask"])
 def test_eval_predictions_that_do_not_fit_the_clip_exit_4(tmp_path, capsys, damage, message):
     cfg = write_toy_config(tmp_path, extra="data.clips = 1\n")
@@ -478,12 +478,15 @@ def _small_mask(clip):
     (_empty_clip, "eval", "has no frames"),
     (_mixed_size_frames, "infer", "frames of clip"),
     (_missing_mask, "train", "has 2 masks for 3 frames"),
-    (_small_mask, "overlay", "overlay: mask 00001.pgm and frame 00001.ppm differ in size"),
+    (_small_mask, "overlay", "clip0000/masks has masks that differ in size from its frames"),
     (_small_mask, "eval", "differ in size from its frames"),
     (_small_mask, "train", "differ in size from its frames"),
-    (_missing_mask, "overlay", "overlay: frame and mask counts differ"),
+    (_missing_mask, "overlay", "clip0000/masks has 2 masks for 3 frames"),
+    (_empty_clip, "overlay", "has no frames"),
+    (_mixed_size_frames, "overlay", "frames of clip"),
 ], ids=["empty-eval", "mixed-sizes-infer", "missing-mask-train", "small-mask-overlay",
-        "small-mask-eval", "small-mask-train", "missing-mask-overlay"])
+        "small-mask-eval", "small-mask-train", "missing-mask-overlay", "empty-overlay",
+        "mixed-sizes-overlay"])
 def test_malformed_clip_exits_4(tmp_path, capsys, damage, command, message):
     data = tmp_path / "data"   # one clip, so train samples the damaged one
     cfg = write_toy_config(tmp_path, steps=1, extra=f"data.clips = 1\ndata.root = {data}\n")
@@ -502,6 +505,8 @@ def test_malformed_clip_exits_4(tmp_path, capsys, damage, command, message):
     assert main(argv) == EXIT_SHAPE_MISMATCH
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    # every input is read and checked before an output folder is made
+    assert not (tmp_path / "preds").exists() and not (tmp_path / "vis").exists()
 
 
 @pytest.mark.parametrize("command", ["eval-checkpoint", "eval-predictions", "train"])
@@ -534,6 +539,22 @@ def test_infer_expr_needs_only_the_frames_folder(tmp_path, capsys):
     for clip, out in ((frames_only, "a"), (data / "clip0000", "b")):
         assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(clip),
                      "--expr", "the red square", "--out", str(tmp_path / out)]) == EXIT_OK
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == [f"{t:05d}.pgm" for t in range(3)]
+    assert names == sorted(os.listdir(tmp_path / "b"))
+    assert all(filecmp.cmp(tmp_path / "a" / n, tmp_path / "b" / n, shallow=False) for n in names)
+
+
+def test_infer_lowercases_the_expression_file_as_it_does_expr(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path, steps=1)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    main(["generate", "--config", cfg, "--out", str(data)])
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    clip = data / "clip0000"
+    (clip / "expression.txt").write_text("The Red Square\n")
+    for out, expr in (("a", []), ("b", ["--expr", "the red square"])):
+        assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(clip),
+                     "--out", str(tmp_path / out)] + expr) == EXIT_OK
     names = sorted(os.listdir(tmp_path / "a"))
     assert names == [f"{t:05d}.pgm" for t in range(3)]
     assert names == sorted(os.listdir(tmp_path / "b"))

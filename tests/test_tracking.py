@@ -4,17 +4,18 @@ import importlib
 import os
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
-from refvos.autodiff import Tensor, layer_norm, linear
+from refvos.autodiff import Tensor, bilinear_resize, layer_norm, linear, no_grad
 from refvos.data import SyntheticSpec, VideoClip, generate_clip
 from refvos.losses import LossConfig
 from refvos.model import Model, ModelConfig
 from refvos.optim import AdamW
-from refvos.tracking import (clip_loss, sample_training_frames, segment_clip,
-                             track_update, train_step)
+from refvos.tracking import (FRAMES_PER_PASS, _decoded_frames, clip_loss,
+                             sample_training_frames, segment_clip, track_update, train_step)
 
 
 def toy_model(seed=0, dtype=np.float64, **kw):
@@ -479,6 +480,37 @@ def test_perfbench_self_test_passes(monkeypatch, tmp_path):
     monkeypatch.setattr(weights, "WEIGHTS", tmp_path / "weights")
     assert importlib.import_module("checks").self_test() == 0
     assert os.path.exists(work) == had_work
+
+def test_decoded_logits_and_scores_match_the_perfbench_reference(monkeypatch):
+    # perfbench compares mask signs only, which a 1% error in HDA's attention
+    # scale passes; its plain-numpy forward pass pins the logits themselves
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    monkeypatch.delitem(sys.modules, "reference", raising=False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # write nothing into perfbench/
+    reference = importlib.import_module("reference")
+    model = toy_model(seed=1)
+    # noise seeded by name moves the adapters and the ITM off their zero init
+    for name, p in model.params.items():
+        rng = np.random.default_rng([6, zlib.crc32(name.encode())])
+        p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
+    clip, expr, _ = toy_clip(frames=5)
+    # two passes, so a track token crosses from one pass to the next
+    frames = [clip.frames[t % 5] * (1.0 - 0.01 * t) for t in range(FRAMES_PER_PASS + 2)]
+    cfg = model.cfg
+    arch = dict(patch_size=cfg.patch_size, blocks=cfg.blocks, taps=cfg.tap_indices)
+    ref = reference.segment({n: p.data for n, p in model.params.items()}, arch, frames, expr.words)
+    with no_grad():
+        sparse = model.sparse_embeddings(model.encode_text(expr))
+        decoded = list(_decoded_frames(model, frames, sparse, FRAMES_PER_PASS))
+    assert len(decoded) == len(ref) == len(frames)
+    for frame, out, (ref_logits, ref_scores) in zip(frames, decoded, ref):
+        logits = np.stack([bilinear_resize(out.mask(i), *frame.shape[1:]).data
+                           for i in range(4)])
+        assert logits.shape == ref_logits.shape
+        assert np.max(np.abs(logits - ref_logits)) <= 1e-9
+        assert np.max(np.abs(out.iou_scores.data.reshape(-1) - ref_scores)) <= 1e-9
+
 
 def _composite_attention(q_in, kv_in, params, prefix):
     """encoder.attention as the chain of ops it was before its fusion."""

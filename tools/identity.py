@@ -8,6 +8,8 @@ Imports the refvos package from CHECKOUT/src and runs this protocol there:
   flags, `train.detach_track = true`, `model.itm = false` and
   `model.hda = false`; a 2-step `train` at the ModelConfig defaults;
   `eval` output and `infer` masks of the default toy run's checkpoint;
+  `overlay` frames over the `infer` masks; `eval --predictions` output
+  over `infer` masks of every generated clip;
 - the loss and every parameter gradient of a 3-frame `clip_loss`, and the
   masks of a 12-frame `segment_clip`, at toy, detached track (`clip_loss`
   only), no ITM, dense attention over the final rows alone
@@ -111,6 +113,25 @@ def _infer(work):
     return {"stdout": [stdout], "masks": _tree(out)}
 
 
+def _overlay(work):
+    """Reads the data of `generate` and the masks of `infer`."""
+    out = os.path.join(work, "vis")
+    stdout = _cli(work, "overlay", "--clip", os.path.join(work, "data", "clip0000"),
+                  "--masks", os.path.join(work, "preds"), "--out", out)
+    return {"stdout": [stdout], "frames": _tree(out)}
+
+
+def _eval_predictions(work):
+    """Runs `infer` on every clip `generate` wrote, with the checkpoint of
+    `train.toy`, and scores the masks."""
+    data, preds = os.path.join(work, "data"), os.path.join(work, "predictions")
+    for clip in sorted(os.listdir(data)):
+        _cli(work, "infer", "--checkpoint", os.path.join(work, "train.toy.ckpt"),
+             "--clip", os.path.join(data, clip), "--out", os.path.join(preds, clip))
+    return {"stdout": [_cli(work, "eval", "--config", os.path.join(work, "generate.cfg"),
+                            "--data", data, "--predictions", preds)]}
+
+
 def _model(flags, dtype):
     """A seed-1 model whose every parameter is moved by noise seeded by its
     name, so the adapters and the track update are not at their zero init."""
@@ -153,7 +174,8 @@ def _runs(name, run, variants):
 
 
 # (name, run): run(work) returns {part: byte chunks}, digested as `name.part`.
-# Runs go in this order: eval and infer read what generate and train.toy wrote.
+# Runs go in this order: eval and infer read what generate and train.toy wrote,
+# and overlay reads what infer wrote.
 ARTIFACTS = [
     ("generate", _generate),
     *[(f"train.{name}", functools.partial(_train, name=f"train.{name}", lines=lines))
@@ -164,6 +186,8 @@ ARTIFACTS = [
                           ("defaults", ["train.steps = 2"])]],
     ("eval", _eval),
     ("infer", _infer),
+    ("overlay", _overlay),
+    ("eval.predictions", _eval_predictions),
     *_runs("clip_loss", _clip_loss, [
         ("toy", dict(flags=TOY)), ("detach_track", dict(flags=TOY, detach_track=True)),
         ("no_itm", dict(flags=dict(TOY, itm=False))), ("no_hda", dict(flags=NO_HDA)),
