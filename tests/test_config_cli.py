@@ -255,6 +255,17 @@ def test_a_failing_train_step_prints_one_stderr_line_and_no_numpy_warning(tmp_pa
     assert ckpt.read_bytes() == before
 
 
+def test_importing_the_cli_loads_numpy_and_the_standard_library_only():
+    # modules that site hooks load at interpreter start are not the import's doing
+    code = ("import sys; before = set(sys.modules); import refvos.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - sys.stdlib_module_names))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(refvos.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.split() == ["numpy", "refvos"]
+
+
 def test_validate_hda_requires_da():
     with pytest.raises(ConfigurationError, match="hda"):
         parse_config("model.da = false\n")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ from refvos.data import (COLORS, MOTIONS, SHAPES, SyntheticSpec, generate_clip,
 from refvos.io import ParseError, read_pgm, read_ppm, write_pgm, write_ppm
 from refvos.metrics import (Metrics, aggregate, boundary_pixels,
                             contour_accuracy_F, default_tolerance,
-                            evaluate_sequence, region_similarity_J)
+                            evaluate_sequence, region_similarity_J,
+                            within_tolerance)
 
 
 # ---- synthetic clips ------------------------------------------------------
@@ -20,13 +23,16 @@ from refvos.metrics import (Metrics, aggregate, boundary_pixels,
      DimensionError, "contour_accuracy_F: shape mismatch"),
     (lambda path: evaluate_sequence([np.zeros((2, 2))], []),
      DimensionError, "evaluate_sequence: length mismatch"),
+    (lambda path: evaluate_sequence([], []), DimensionError, "evaluate_sequence: no frames"),
+    (lambda path: aggregate([]), DimensionError, "aggregate: no sequences"),
     (lambda path: write_pgm(path / "m.pgm", np.full((2, 2), 2, np.uint8)),
      ValueError, "binary H x W mask"),
     (lambda path: write_ppm(path / "f.ppm", np.zeros((2, 2))),
      ValueError, r"\(3, H, W\) frame"),
     (lambda path: SyntheticSpec(frames=0), ValueError, "frames must be >= 1"),
     (lambda path: SyntheticSpec(min_objects=0), ValueError, "min_objects must be >= 1"),
-], ids=["j-shapes", "f-shapes", "sequence-lengths", "pgm-non-binary", "ppm-rank",
+], ids=["j-shapes", "f-shapes", "sequence-lengths", "sequence-empty", "aggregate-empty",
+        "pgm-non-binary", "ppm-rank",
         "spec-frames", "spec-min-objects"])
 def test_data_metrics_and_io_refuse_bad_input(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
@@ -165,14 +171,49 @@ def test_f_shifted_square_tolerances():
     assert contour_accuracy_F(a, b, tolerance_px=0) == brute_force_F(a, b, 0)
 
 
+def random_shape(rng):
+    """Sizes from 1 to 16 on each side, one row and one column included."""
+    kind = int(rng.integers(0, 4))
+    h = 1 if kind == 1 else int(rng.integers(1, 17))
+    w = 1 if kind == 2 else int(rng.integers(1, 17))
+    return h, w
+
+
 def test_f_matches_brute_force_oracle():
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        h, w = int(rng.integers(2, 17)), int(rng.integers(2, 17))
+    for _ in range(300):
+        h, w = random_shape(rng)
         a = (rng.random((h, w)) > 0.55).astype(np.uint8)
         b = (rng.random((h, w)) > 0.55).astype(np.uint8)
-        tol = float(rng.integers(0, 4))
-        assert contour_accuracy_F(a, b, tol) == pytest.approx(brute_force_F(a, b, tol), abs=1e-12)
+        beyond_diagonal = float(np.hypot(h, w)) + 1
+        for tol in (0.0, 0.5, 1.0, 1.5, 2.0, 2.9, 3.0, beyond_diagonal):
+            assert contour_accuracy_F(a, b, tol) == brute_force_F(a, b, tol)
+
+
+def test_within_tolerance_matches_pairwise_distances():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        h, w = random_shape(rng)
+        mask = rng.random((h, w)) > rng.random()
+        on = np.argwhere(mask)
+        every = np.argwhere(np.ones((h, w), dtype=bool))
+        d = np.sqrt(((every[:, None, :] - on[None, :, :]) ** 2).sum(-1).astype(np.float64))
+        for tol in (0, 0.5, 1, np.sqrt(2), 1.5, 2, 2.9, 3, 5, 7.3, 50, np.inf, -1.0, np.nan):
+            expect = (d <= tol).any(axis=1).reshape(h, w)
+            assert np.array_equal(within_tolerance(mask, tol), expect)
+
+
+def test_f_at_unbounded_tolerances():
+    a = np.zeros((64, 64), dtype=np.uint8)
+    a[10:30, 12:40] = 1
+    b = np.zeros_like(a)
+    b[40:60, 5:9] = 1
+    start = time.perf_counter()
+    assert contour_accuracy_F(a, b, 1e12) == 1.0
+    assert time.perf_counter() - start < 1.0
+    assert contour_accuracy_F(a, b, np.inf) == 1.0
+    assert contour_accuracy_F(a, b, np.nan) == 0.0
+    assert contour_accuracy_F(a, a, np.nan) == 0.0
 
 
 def test_f_symmetric():
