@@ -60,10 +60,10 @@ def _read_pnm(path, magic):
         raise ParseError("only 8-bit images supported", pos)
     channels = 3 if magic == b"P6" else 1
     need = w * h * channels
-    payload = raw[pos:pos + need]
-    if len(payload) != need:
-        raise ParseError("truncated payload", pos + len(payload))
-    return np.frombuffer(payload, dtype=np.uint8), h, w
+    start = min(pos, len(raw))   # pos lies past the end when the header ends the file
+    if len(raw) - start < need:
+        raise ParseError("truncated payload", max(pos, len(raw)))
+    return np.frombuffer(raw, np.uint8, count=need, offset=start), h, w
 
 
 def read_pgm(path):
@@ -122,7 +122,7 @@ def save_checkpoint(path, arrays):
                 fh.write(struct.pack("<B", arr.ndim))
                 for extent in arr.shape:
                     fh.write(struct.pack("<I", extent))
-                fh.write(arr.tobytes())
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,33 +130,51 @@ def save_checkpoint(path, arrays):
         raise
 
 
+def _unpack(fh, fmt, pos, size):
+    """`struct.unpack_from(fmt, data, pos)` over the `size` bytes `data` of
+    the file `fh`, which stands at `pos`: reads only the bytes it unpacks,
+    and raises struct.error with the message unpack_from would give."""
+    need = struct.calcsize(fmt)
+    chunk = fh.read(need)
+    if len(chunk) < need:
+        raise struct.error(f"unpack_from requires a buffer of at least {pos + need} bytes for "
+                           f"unpacking {need} bytes at offset {pos} (actual buffer size is {size})")
+    return struct.unpack(fmt, chunk)
+
+
 def load_checkpoint(path):
+    """The records of a checkpoint as native float32 arrays, by name. Reads
+    one record at a time straight into its array, so a load holds each
+    record once and never the whole file; a record that claims more bytes
+    than the file holds is refused before anything of that size is made."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("bad checkpoint magic")
-    pos = len(CHECKPOINT_MAGIC)
-    arrays = {}
-    while pos < len(raw):
-        try:
-            (nlen,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos:pos + nlen].decode("utf-8")
-            pos += nlen
-            (rank,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
-            pos += 4 * rank
-            count = math.prod(shape)   # exact: an int64 product of the extents can wrap
-            if 4 * count > len(raw) - pos:
-                raise ValueError(f"truncated: {name!r} needs {4 * count} bytes, "
-                                 f"{len(raw) - pos} remain")
-            # reshape fails on more axes than numpy supports
-            arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).reshape(shape)
-            pos += 4 * count
-        except (struct.error, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint record at byte {pos}: {exc}") from exc
-        if name in arrays:
-            raise CheckpointError(f"repeated checkpoint record {name!r} ending at byte {pos}")
-        arrays[name] = arr.astype(np.float32)
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad checkpoint magic")
+        pos = len(CHECKPOINT_MAGIC)
+        arrays = {}
+        while pos < size:
+            try:
+                (nlen,) = _unpack(fh, "<H", pos, size)
+                pos += 2
+                name = fh.read(nlen).decode("utf-8")
+                pos += nlen
+                (rank,) = _unpack(fh, "<B", pos, size)
+                pos += 1
+                shape = _unpack(fh, f"<{rank}I", pos, size) if rank else ()
+                pos += 4 * rank
+                count = math.prod(shape)   # exact: an int64 product of the extents can wrap
+                if 4 * count > size - pos:
+                    raise ValueError(f"truncated: {name!r} needs {4 * count} bytes, "
+                                     f"{size - pos} remain")
+                # reshape fails on more axes than numpy supports
+                arr = np.empty(count, dtype="<f4").reshape(shape)
+                if fh.readinto(arr) != 4 * count:
+                    raise ValueError(f"truncated: the file ended inside {name!r}")
+                pos += 4 * count
+            except (struct.error, ValueError) as exc:
+                raise CheckpointError(f"malformed checkpoint record at byte {pos}: {exc}") from exc
+            if name in arrays:
+                raise CheckpointError(f"repeated checkpoint record {name!r} ending at byte {pos}")
+            arrays[name] = arr.astype(np.float32, copy=False)
     return arrays

@@ -80,6 +80,13 @@ def test_ops_refuse_operands_of_the_wrong_shape(op, message):
         op()
 
 
+def test_tensor_casts_non_float_input_to_float64():
+    # refvos.Tensor is public API: integer and boolean input computes in float64
+    assert Tensor([1, 2]).dtype == np.float64
+    assert Tensor(np.array([True, False])).dtype == np.float64
+    assert Tensor(np.float32([1.0])).dtype == np.float32
+
+
 def test_detach_shares_the_data_and_records_nothing():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     y = x * 3.0

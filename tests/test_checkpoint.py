@@ -4,6 +4,7 @@ configuration they record."""
 import hashlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,47 @@ def test_load_checkpoint_rejects_extents_whose_product_overflows(tmp_path):
     header = struct.pack("<H", 1) + b"a" + struct.pack("<B4I", 4, *[65536] * 4)
     path.write_bytes(CHECKPOINT_MAGIC + header)
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_save_then_load_round_trips_names_shapes_and_bytes(tmp_path):
+    rng = np.random.default_rng(0)
+    arrays = {"b.weight": rng.normal(size=(3, 4)), "a": np.array([2.5]),
+              "empty": np.zeros((2, 0, 3)), "c.é": rng.normal(size=(2, 1, 2, 1)).astype(np.float32)}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, arrays)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == sorted(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == np.float32
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.astype(np.float32).tobytes()
+
+
+def test_load_checkpoint_holds_each_record_once(tmp_path):
+    """Records are read straight into their arrays: no copy of the file, or
+    of a record, is held beside them."""
+    arrays = {f"r{k}": np.full((256, 256), k, np.float32) for k in range(6)}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, arrays)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sum(a.nbytes for a in arrays.values())
+
+
+def test_a_file_that_ends_inside_a_record_while_read_is_refused(tmp_path, monkeypatch):
+    """The file is cut after its size was taken: the read comes up short."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"a": np.arange(3.0)})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    with pytest.raises(CheckpointError, match=f"at byte {size - 12}: truncated: "
+                                              "the file ended inside 'a'"):
         load_checkpoint(path)
 
 

@@ -198,9 +198,19 @@ def test_within_tolerance_matches_pairwise_distances():
         on = np.argwhere(mask)
         every = np.argwhere(np.ones((h, w), dtype=bool))
         d = np.sqrt(((every[:, None, :] - on[None, :, :]) ** 2).sum(-1).astype(np.float64))
-        for tol in (0, 0.5, 1, np.sqrt(2), 1.5, 2, 2.9, 3, 5, 7.3, 50, np.inf, -1.0, np.nan):
+        diagonal = np.sqrt(float((h - 1) ** 2 + (w - 1) ** 2))
+        for tol in (0, 0.5, 1, np.sqrt(2), 1.5, 2, 2.9, 3, 5, 7.3, 50, 1e12, np.inf, -1.0, np.nan,
+                    diagonal, np.nextafter(diagonal, 0)):
             expect = (d <= tol).any(axis=1).reshape(h, w)
             assert np.array_equal(within_tolerance(mask, tol), expect)
+
+
+def test_within_tolerance_reaches_the_far_corner_at_the_diagonal():
+    corner = np.zeros((5, 8), dtype=bool)
+    corner[0, 0] = True
+    diagonal = np.sqrt(float(4 ** 2 + 7 ** 2))
+    assert within_tolerance(corner, diagonal).all()
+    assert within_tolerance(corner, np.nextafter(diagonal, 0)).sum() == corner.size - 1
 
 
 def test_f_at_unbounded_tolerances():
@@ -289,6 +299,23 @@ def test_pgm_payload_bytes(tmp_path):
     write_pgm(path, np.array([[1, 0], [0, 1]], dtype=np.uint8))
     raw = path.read_bytes()
     assert raw == b"P5\n2 2\n255\n\xff\x00\x00\xff"
+
+
+@pytest.mark.parametrize("raw, offset", [
+    (b"P5\n2 2\n255\n\xff\x00\x00", 14),  # the payload ends early
+    (b"P5\n2 2\n255", 11),  # the header ends the file
+], ids=["short-payload", "no-payload"])
+def test_pgm_truncated_payload_offset(tmp_path, raw, offset):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"truncated payload \\(byte offset {offset}\\)"):
+        read_pgm(path)
+
+
+def test_pgm_of_no_pixels_reads_with_the_header_ending_the_file(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n0 0 255")
+    assert read_pgm(path).shape == (0, 0)
 
 
 def test_pgm_bad_header_offset_zero(tmp_path):

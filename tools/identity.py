@@ -7,7 +7,9 @@ Imports the refvos package from CHECKOUT/src and runs this protocol there:
 - `generate` output; same-seed toy `train` runs (30 steps) with default
   flags, `train.detach_track = true`, `model.itm = false` and
   `model.hda = false`; a 2-step `train` at the ModelConfig defaults;
-  `eval` output and `infer` masks of the default toy run's checkpoint;
+  the names, dtypes, shapes and bytes that `load_checkpoint` reads from
+  the default toy run's checkpoint, and the `eval` output and `infer`
+  masks of that checkpoint;
   `overlay` frames over the `infer` masks; `eval --predictions` output
   over `infer` masks of every generated clip;
 - the loss and every parameter gradient of a 3-frame `clip_loss`, and the
@@ -18,7 +20,8 @@ Imports the refvos package from CHECKOUT/src and runs this protocol there:
   and the defaults. Each parameter is moved by noise seeded by its name, so
   a parameter that a change adds or drops moves no other parameter's value:
   a change that only drops unread parameters moves only the digests that
-  list parameters by name, the `train` checkpoints and `clip_loss` grads.
+  list parameters by name: the `train` checkpoints, `load` and the
+  `clip_loss` grads.
 
 Run it once per checkout, from either one, and compare the outputs with
 `diff`: a change that moves no byte shows an empty diff. Trained bytes
@@ -98,6 +101,15 @@ def _train(work, name, lines):
         return {"stdout": [stdout], "checkpoint": [f.read()]}
 
 
+def _load(work):
+    """Reads the checkpoint of `train.toy`."""
+    from refvos.io import load_checkpoint
+    chunks = []
+    for name, arr in sorted(load_checkpoint(os.path.join(work, "train.toy.ckpt")).items()):
+        chunks += [name.encode(), arr.dtype.str.encode(), repr(arr.shape).encode(), arr.tobytes()]
+    return {"arrays": chunks}
+
+
 def _eval(work):
     """Reads the data of `generate` and the checkpoint of `train.toy`."""
     return {"stdout": [_cli(work, "eval", "--config", os.path.join(work, "generate.cfg"),
@@ -174,8 +186,8 @@ def _runs(name, run, variants):
 
 
 # (name, run): run(work) returns {part: byte chunks}, digested as `name.part`.
-# Runs go in this order: eval and infer read what generate and train.toy wrote,
-# and overlay reads what infer wrote.
+# Runs go in this order: load reads what train.toy wrote, eval and infer read
+# what generate and train.toy wrote, and overlay reads what infer wrote.
 ARTIFACTS = [
     ("generate", _generate),
     *[(f"train.{name}", functools.partial(_train, name=f"train.{name}", lines=lines))
@@ -184,6 +196,7 @@ ARTIFACTS = [
                           ("toy.no_itm", TOY_LINES + ["model.itm = false"]),
                           ("toy.no_hda", TOY_LINES + ["model.hda = false"]),
                           ("defaults", ["train.steps = 2"])]],
+    ("load", _load),
     ("eval", _eval),
     ("infer", _infer),
     ("overlay", _overlay),
