@@ -2,7 +2,9 @@
 
 import math
 import os
+import stat
 import struct
+from io import BytesIO
 
 import numpy as np
 
@@ -60,10 +62,10 @@ def _read_pnm(path, magic):
         raise ParseError("only 8-bit images supported", pos)
     channels = 3 if magic == b"P6" else 1
     need = w * h * channels
-    start = min(pos, len(raw))   # pos lies past the end when the header ends the file
-    if len(raw) - start < need:
-        raise ParseError("truncated payload", max(pos, len(raw)))
-    return np.frombuffer(raw, np.uint8, count=need, offset=start), h, w
+    payload = raw[pos:pos + need]
+    if len(payload) != need:
+        raise ParseError("truncated payload", pos + len(payload))
+    return np.frombuffer(payload, dtype=np.uint8), h, w
 
 
 def read_pgm(path):
@@ -146,9 +148,15 @@ def load_checkpoint(path):
     """The records of a checkpoint as native float32 arrays, by name. Reads
     one record at a time straight into its array, so a load holds each
     record once and never the whole file; a record that claims more bytes
-    than the file holds is refused before anything of that size is made."""
+    than the file holds is refused before anything of that size is made.
+    A pipe's size is known only once it is read, so a pipe is read whole
+    first and its records are copied out of those bytes."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        info = os.fstat(fh.fileno())
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode):
+            data = fh.read()
+            fh, size = BytesIO(data), len(data)   # `with` still closes the pipe
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CheckpointError("bad checkpoint magic")
         pos = len(CHECKPOINT_MAGIC)

@@ -3,7 +3,9 @@ configuration they record."""
 
 import hashlib
 import os
+import stat
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -117,10 +119,40 @@ def test_a_file_that_ends_inside_a_record_while_read_is_refused(tmp_path, monkey
     save_checkpoint(path, {"a": np.arange(3.0)})
     size = path.stat().st_size
     path.write_bytes(path.read_bytes()[:-4])
-    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: os.stat_result((stat.S_IFREG,) + (0,) * 5 + (size,) + (0,) * 3))
     with pytest.raises(CheckpointError, match=f"at byte {size - 12}: truncated: "
                                               "the file ended inside 'a'"):
         load_checkpoint(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("cut", [0, 4], ids=["whole", "cut"])
+def test_load_checkpoint_reads_a_pipe_as_it_reads_the_file(tmp_path, cut):
+    """A pipe (as `--checkpoint <(cat m.ckpt)` passes) reports no size, but
+    loads, or is refused with the same message, as the file it carries."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"a": np.arange(3.0), "b": np.ones((2, 0)), "c": np.eye(2)})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) - cut])
+    try:
+        expect = load_checkpoint(path)
+    except CheckpointError as exc:
+        expect = str(exc)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        got = load_checkpoint(pipe)
+    except CheckpointError as exc:
+        got = str(exc)
+    writer.join(timeout=10)
+    if isinstance(expect, str):
+        assert "truncated" in expect and got == expect
+    else:
+        assert list(got) == list(expect)
+        assert all(got[k].dtype == np.float32 and np.array_equal(got[k], expect[k]) for k in expect)
 
 
 def test_load_state_rejects_unknown_records():
