@@ -53,17 +53,22 @@ class RunConfig:
         """Raise ConfigurationError, naming the key, unless every section
         holds values that the model, the losses and the data generator take."""
         self.model_config()   # ModelConfig.__post_init__ checks the model section
-        for name in ("train", "data"):
-            section = getattr(self, name)
-            for f in fields(section):
-                low = 0 if f.name == "seed" else 1
-                if f.type is int and getattr(section, f.name) < low:
-                    raise ConfigurationError(f"{name}.{f.name} must be >= {low}")
+        for f in fields(TrainSection):
+            low = 0 if f.name == "seed" else 1
+            if f.type is int and getattr(self.train, f.name) < low:
+                raise ConfigurationError(f"train.{f.name} must be >= {low}")
+        if self.data.clips < 1:   # SyntheticSpec checks the rest of the data section
+            raise ConfigurationError("data.clips must be >= 1")
         for group, lr in self.learning_rates().items():
             if not (math.isfinite(lr) and lr > 0):
                 raise ConfigurationError(f"train.lr_{group} must be finite and > 0, got {lr}")
         self.loss_config()
         self.data_spec(self.train.seed)
+        ps = self.model.patch_size
+        for side in ("height", "width"):   # encode_frame cuts frames into whole patches
+            if getattr(self.data, side) % ps:
+                raise ConfigurationError(f"data.{side} must be a multiple of model.patch_size "
+                                         f"({ps}), got {getattr(self.data, side)}")
         return self
 
     def model_config(self):

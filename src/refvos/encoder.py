@@ -99,6 +99,8 @@ def encode_frame(frame, cfg, params):
         raise DimensionError("frame must be (..., 3, H, W)")
     *lead, _, h, w = frame.shape
     ps = cfg.patch_size
+    if not h or not w:
+        raise DimensionError(f"frame has no pixels: its sides are {h} x {w}")
     if h % ps or w % ps:
         raise DimensionError(f"frame dims must be divisible by patch size {ps}")
     h0, w0 = h // ps, w // ps

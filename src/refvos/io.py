@@ -132,24 +132,13 @@ def save_checkpoint(path, arrays):
         raise
 
 
-def _unpack(fh, fmt, pos, size):
-    """`struct.unpack_from(fmt, data, pos)` over the `size` bytes `data` of
-    the file `fh`, which stands at `pos`: reads only the bytes it unpacks,
-    and raises struct.error with the message unpack_from would give."""
-    need = struct.calcsize(fmt)
-    chunk = fh.read(need)
-    if len(chunk) < need:
-        raise struct.error(f"unpack_from requires a buffer of at least {pos + need} bytes for "
-                           f"unpacking {need} bytes at offset {pos} (actual buffer size is {size})")
-    return struct.unpack(fmt, chunk)
-
-
 def load_checkpoint(path):
     """The records of a checkpoint as native float32 arrays, by name. Reads
     one record at a time straight into its array, so a load holds each
     record once and never the whole file; a record that claims more bytes
-    than the file holds is refused before anything of that size is made.
-    A pipe's size is known only once it is read, so a pipe is read whole
+    than the file holds is refused before anything of that size is made,
+    and a file cut inside a record as truncated, at the field it cut. A
+    pipe's size is known only once it is read, so a pipe is read whole
     first and its records are copied out of those bytes."""
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -161,16 +150,23 @@ def load_checkpoint(path):
             raise CheckpointError("bad checkpoint magic")
         pos = len(CHECKPOINT_MAGIC)
         arrays = {}
+
+        def field(n, parse):
+            """parse() of a header field's n bytes; `pos` passes them only once
+            they are read in full and parsed, so an error names their offset."""
+            nonlocal pos
+            chunk = fh.read(n)
+            if len(chunk) < n:
+                raise ValueError("truncated: the file ended inside a record header")
+            value = parse(chunk)
+            pos += n
+            return value
+
         while pos < size:
             try:
-                (nlen,) = _unpack(fh, "<H", pos, size)
-                pos += 2
-                name = fh.read(nlen).decode("utf-8")
-                pos += nlen
-                (rank,) = _unpack(fh, "<B", pos, size)
-                pos += 1
-                shape = _unpack(fh, f"<{rank}I", pos, size) if rank else ()
-                pos += 4 * rank
+                name = field(field(2, lambda b: int.from_bytes(b, "little")), bytes.decode)
+                rank = field(1, ord)
+                shape = field(4 * rank, lambda b: struct.unpack(f"<{rank}I", b))
                 count = math.prod(shape)   # exact: an int64 product of the extents can wrap
                 if 4 * count > size - pos:
                     raise ValueError(f"truncated: {name!r} needs {4 * count} bytes, "
@@ -180,7 +176,7 @@ def load_checkpoint(path):
                 if fh.readinto(arr) != 4 * count:
                     raise ValueError(f"truncated: the file ended inside {name!r}")
                 pos += 4 * count
-            except (struct.error, ValueError) as exc:
+            except ValueError as exc:
                 raise CheckpointError(f"malformed checkpoint record at byte {pos}: {exc}") from exc
             if name in arrays:
                 raise CheckpointError(f"repeated checkpoint record {name!r} ending at byte {pos}")

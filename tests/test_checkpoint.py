@@ -2,6 +2,7 @@
 configuration they record."""
 
 import hashlib
+import math
 import os
 import stat
 import struct
@@ -126,6 +127,23 @@ def test_a_file_that_ends_inside_a_record_while_read_is_refused(tmp_path, monkey
         load_checkpoint(path)
 
 
+def _loaded(path):
+    """load_checkpoint(path), or the message of its CheckpointError."""
+    try:
+        return load_checkpoint(path)
+    except CheckpointError as exc:
+        return str(exc)
+
+
+def _loaded_from_a_pipe(pipe, blob):
+    """_loaded of the named pipe `pipe` while a thread writes `blob` into it."""
+    writer = threading.Thread(target=pipe.write_bytes, args=(blob,), daemon=True)
+    writer.start()
+    got = _loaded(pipe)
+    writer.join(timeout=10)
+    return got
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 @pytest.mark.parametrize("cut", [0, 4], ids=["whole", "cut"])
 def test_load_checkpoint_reads_a_pipe_as_it_reads_the_file(tmp_path, cut):
@@ -135,24 +153,58 @@ def test_load_checkpoint_reads_a_pipe_as_it_reads_the_file(tmp_path, cut):
     save_checkpoint(path, {"a": np.arange(3.0), "b": np.ones((2, 0)), "c": np.eye(2)})
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) - cut])
-    try:
-        expect = load_checkpoint(path)
-    except CheckpointError as exc:
-        expect = str(exc)
+    expect = _loaded(path)
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
-    writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
-    writer.start()
-    try:
-        got = load_checkpoint(pipe)
-    except CheckpointError as exc:
-        got = str(exc)
-    writer.join(timeout=10)
+    got = _loaded_from_a_pipe(pipe, path.read_bytes())
     if isinstance(expect, str):
         assert "truncated" in expect and got == expect
     else:
         assert list(got) == list(expect)
         assert all(got[k].dtype == np.float32 and np.array_equal(got[k], expect[k]) for k in expect)
+
+
+def _field_starts(raw):
+    """Byte offsets of each record's fields (name length, name, rank,
+    extents, values), and of each record's end."""
+    pos, starts = len(CHECKPOINT_MAGIC), []
+    while pos < len(raw):
+        (nlen,) = struct.unpack_from("<H", raw, pos)
+        rank = raw[pos + 2 + nlen]
+        shape = struct.unpack_from(f"<{rank}I", raw, pos + 3 + nlen)
+        starts += [pos, pos + 2, pos + 2 + nlen, pos + 3 + nlen, pos + 3 + nlen + 4 * rank]
+        pos = starts[-1] + 4 * math.prod(shape)
+    return starts + [pos]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_checkpoint_cut_anywhere_in_a_record_is_refused_as_truncated_at_the_cut_field(
+        tmp_path):
+    """Every cut of a file, passed as a file and as a pipe: a cut on a
+    record boundary loads the records before it, and any other cut past
+    the magic is refused as truncated, at the offset of the field it cut
+    (the name length, the name, the rank, the extents or the values)."""
+    arrays = {"a": np.arange(3.0), "bb.weight": np.ones((2, 3)), "c.é": np.zeros(1),
+              "scalar": np.array(2.0), "long" * 10: np.eye(2), "z": np.zeros((2, 0))}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, arrays)
+    raw = path.read_bytes()
+    starts = _field_starts(raw)
+    records = starts[::5]   # each record's start, and the end of the file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    for cut in range(len(CHECKPOINT_MAGIC), len(raw) + 1):
+        path.write_bytes(raw[:cut])
+        got, from_pipe = _loaded(path), _loaded_from_a_pipe(pipe, raw[:cut])
+        if cut in records:
+            assert list(got) == list(from_pipe) == sorted(arrays)[:records.index(cut)], cut
+            continue
+        assert from_pipe == got, cut
+        field = max(s for s in starts if s <= cut)
+        assert got.startswith(f"malformed checkpoint record at byte {field}: truncated: "), cut
+        if field in starts[4::5]:   # the values
+            continue
+        assert got.endswith("truncated: the file ended inside a record header"), cut
 
 
 def test_load_state_rejects_unknown_records():
@@ -322,15 +374,10 @@ FUZZ_TOY = dict(TOY, text_width=8, vocab_size=8, hidden=8)
 def _record_heads(raw):
     """Byte offsets of every record's name, rank and extents, and of the
     values of the config records: where a flipped byte changes structure."""
-    pos, heads = len(CHECKPOINT_MAGIC), []
-    while pos < len(raw):
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        rank = raw[pos + 2 + nlen]
-        end = pos + 3 + nlen + 4 * rank
-        size = 4 * int(np.prod(struct.unpack_from(f"<{rank}I", raw, end - 4 * rank)))
-        config = raw[pos + 2:pos + 2 + nlen].startswith(b"config.")
-        heads += range(pos, end + size if config else end)
-        pos = end + size
+    starts, heads = _field_starts(raw), []
+    for k in range(0, len(starts) - 1, 5):
+        start, name, values, end = starts[k], starts[k + 1], starts[k + 4], starts[k + 5]
+        heads += range(start, end if raw[name:values].startswith(b"config.") else values)
     return heads
 
 

@@ -173,6 +173,9 @@ def test_train_zero_model_size_exits_4(tmp_path, capsys, key):
     ("data.clips = 0", "data.clips must be >= 1"),
     ("data.height = 16", "data.height must be >= 32"),
     ("data.max_objects = 5", "data.max_objects must lie in min_objects..4"),
+    ("data.frames = 0", "data.frames must be >= 1"),
+    ("data.height = 36", "data.height must be a multiple of model.patch_size (8), got 36"),
+    ("data.width = 60", "data.width must be a multiple of model.patch_size (8), got 60"),
 ])
 def test_train_bad_value_exits_4_before_step_1(tmp_path, capsys, line, message):
     cfg = write_toy_config(tmp_path, extra=line + "\n")
@@ -322,6 +325,18 @@ def test_generate_small_canvas_exits_4(tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_SHAPE_MISMATCH
     assert "data.height must be >= 32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side, size", [("height", 36), ("width", 60)])
+def test_generate_refuses_frames_off_the_patch_grid(tmp_path, capsys, side, size):
+    """Frames the model cannot cut into whole patches are refused before
+    any clip is written, naming the key."""
+    cfg = write_toy_config(tmp_path, extra=f"data.{side} = {size}\n")
+    out = tmp_path / "data"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_SHAPE_MISMATCH
+    assert capsys.readouterr().err == (f"error: data.{side} must be a multiple of "
+                                       f"model.patch_size (8), got {size}\n")
     assert not out.exists()
 
 
@@ -485,6 +500,12 @@ def _small_mask(clip):
     write_pgm(clip / "masks" / "00001.pgm", np.zeros((32, 32), np.uint8))
 
 
+def _one_frame_of_no_pixels(clip):
+    for name in ("00001.ppm", "00002.ppm"):
+        os.remove(clip / "frames" / name)
+    (clip / "frames" / "00000.ppm").write_bytes(b"P6\n0 0 255\n")
+
+
 @pytest.mark.parametrize("damage, command, message", [
     (_empty_clip, "eval", "has no frames"),
     (_mixed_size_frames, "infer", "frames of clip"),
@@ -495,9 +516,10 @@ def _small_mask(clip):
     (_missing_mask, "overlay", "clip0000/masks has 2 masks for 3 frames"),
     (_empty_clip, "overlay", "has no frames"),
     (_mixed_size_frames, "overlay", "frames of clip"),
+    (_one_frame_of_no_pixels, "infer", "frame has no pixels: its sides are 0 x 0"),
 ], ids=["empty-eval", "mixed-sizes-infer", "missing-mask-train", "small-mask-overlay",
         "small-mask-eval", "small-mask-train", "missing-mask-overlay", "empty-overlay",
-        "mixed-sizes-overlay"])
+        "mixed-sizes-overlay", "no-pixels-infer"])
 def test_malformed_clip_exits_4(tmp_path, capsys, damage, command, message):
     data = tmp_path / "data"   # one clip, so train samples the damaged one
     cfg = write_toy_config(tmp_path, steps=1, extra=f"data.clips = 1\ndata.root = {data}\n")
