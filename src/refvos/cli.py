@@ -24,9 +24,21 @@ EXIT_BAD_CHECKPOINT = 3
 EXIT_SHAPE_MISMATCH = 4
 
 
+def _synthetic_spec(cfg):
+    """The data section's SyntheticSpec at the run seed, refused, naming the
+    key, unless its frames cut into whole patches of the model."""
+    spec = cfg.data_spec(cfg.train.seed)
+    ps = cfg.model.patch_size
+    for side in ("height", "width"):
+        if getattr(spec, side) % ps:
+            raise ConfigurationError(f"data.{side} must be a multiple of model.patch_size "
+                                     f"({ps}), got {getattr(spec, side)}")
+    return spec
+
+
 def cmd_generate(args):
     cfg = load_config(args.config)
-    n = write_dataset(args.out, cfg.data_spec(cfg.train.seed), cfg.data.clips)
+    n = write_dataset(args.out, _synthetic_spec(cfg), cfg.data.clips)
     print(f"wrote {n} clips to {args.out}")
     return EXIT_OK
 
@@ -34,7 +46,7 @@ def cmd_generate(args):
 def _load_training_clips(cfg):
     if cfg.data.root:
         return [read_clip(d) for d in list_clips(cfg.data.root)]
-    spec = cfg.data_spec(cfg.train.seed)
+    spec = _synthetic_spec(cfg)
     return [generate_clip(clip_spec(spec, k)) for k in range(cfg.data.clips)]
 
 
@@ -47,8 +59,8 @@ def _validate(model, clips, tolerance):
 def cmd_train(args):
     cfg = load_config(args.config)
     seed = cfg.train.seed
-    model = Model(cfg.model_config(), seed=seed)
     clips = _load_training_clips(cfg)
+    model = Model(cfg.model_config(), seed=seed)
     loss_cfg = cfg.loss_config()
     optimizer = AdamW(model.trainable_params(), cfg.learning_rates(),
                       weight_decay=cfg.train.weight_decay)

@@ -64,11 +64,6 @@ class RunConfig:
                 raise ConfigurationError(f"train.lr_{group} must be finite and > 0, got {lr}")
         self.loss_config()
         self.data_spec(self.train.seed)
-        ps = self.model.patch_size
-        for side in ("height", "width"):   # encode_frame cuts frames into whole patches
-            if getattr(self.data, side) % ps:
-                raise ConfigurationError(f"data.{side} must be a multiple of model.patch_size "
-                                         f"({ps}), got {getattr(self.data, side)}")
         return self
 
     def model_config(self):

@@ -56,16 +56,13 @@ def within_tolerance(mask, tolerance_px):
     """Pixels within Euclidean distance `tolerance_px` of a True pixel of
     the boolean (H, W) `mask`: those with a True pixel at an offset (dy, dx)
     where `np.sqrt(float(dy*dy + dx*dx)) <= tolerance_px`. A NaN or negative
-    tolerance matches nothing. At or beyond the image diagonal every offset
-    qualifies, so every pixel matches if any pixel is True; below it, row
-    offsets are clamped to the mask's height, so the work is at most 2H - 1
-    passes over the mask."""
+    tolerance matches nothing. Row offsets are clamped to the mask's height,
+    so however large the tolerance, the work is at most 2H - 1 passes over
+    the mask."""
     h, w = mask.shape
     out = np.zeros_like(mask)
     if mask.size == 0 or not tolerance_px >= 0:
         return out
-    if np.sqrt(float((h - 1) ** 2 + (w - 1) ** 2)) <= tolerance_px:
-        return np.full_like(mask, mask.any())
     radius = h - 1 if tolerance_px >= h - 1 else int(tolerance_px)
     dy = np.arange(radius + 1)[:, None]
     dx = np.arange(w)[None, :]

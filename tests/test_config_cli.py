@@ -340,6 +340,20 @@ def test_generate_refuses_frames_off_the_patch_grid(tmp_path, capsys, side, size
     assert not out.exists()
 
 
+def test_clips_read_from_disk_need_not_match_the_data_sizes(tmp_path, capsys):
+    """data.height and data.width size generated clips only, so a run that
+    reads 48x48 clips from data.root trains at model.patch_size = 12 although
+    the default data.height, 64, is not a multiple of 12."""
+    data = tmp_path / "data"
+    cfg = write_toy_config(tmp_path, extra="data.height = 48\ndata.width = 48\n")
+    assert main(["generate", "--config", cfg, "--out", str(data)]) == 0
+    cfg = write_toy_config(tmp_path, steps=1,
+                           extra=f"model.patch_size = 12\ndata.root = {data}\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", cfg, "--out-checkpoint", str(ckpt)]) == 0
+    assert "step=1 " in capsys.readouterr().out
+
+
 def test_generate_negative_seed_exits_4_before_writing(tmp_path, capsys):
     cfg = write_toy_config(tmp_path, extra="train.seed = -1001\n")
     out = tmp_path / "data"

@@ -213,26 +213,6 @@ def test_within_tolerance_reaches_the_far_corner_at_the_diagonal():
     assert within_tolerance(corner, np.nextafter(diagonal, 0)).sum() == corner.size - 1
 
 
-@pytest.mark.parametrize("fill", ["corner", "sparse", "none"])
-def test_within_tolerance_at_and_beyond_the_diagonal_equals_the_general_path(fill):
-    """From the image diagonal on, within_tolerance answers without a pass
-    over offsets. The general path, run on the mask at the left of a canvas
-    three times as wide (whose diagonal is longer), gives the same pixels."""
-    h, w = 23, 41
-    mask = np.zeros((h, w), dtype=bool)
-    if fill == "corner":
-        mask[0, 0] = True
-    elif fill == "sparse":
-        mask = np.random.default_rng(9).random((h, w)) < 0.01
-    wide = np.zeros((h, 3 * w), dtype=bool)
-    wide[:, :w] = mask
-    diagonal = np.sqrt(float((h - 1) ** 2 + (w - 1) ** 2))
-    below = np.nextafter(diagonal, 0)
-    for tol, general in ((diagonal, diagonal), (below, below), (1e12, diagonal)):
-        assert np.array_equal(within_tolerance(mask, tol), within_tolerance(wide, general)[:, :w])
-    assert within_tolerance(mask, diagonal).all() == (fill != "none")
-
-
 def test_f_at_unbounded_tolerances():
     a = np.zeros((64, 64), dtype=np.uint8)
     a[10:30, 12:40] = 1

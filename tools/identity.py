@@ -11,9 +11,7 @@ Imports the refvos package from CHECKOUT/src and runs this protocol there:
   the default toy run's checkpoint, and the `eval` output and `infer`
   masks of that checkpoint;
   `overlay` frames over the `infer` masks; `eval --predictions` output
-  over `infer` masks of every generated clip; the exit code and stderr of
-  `infer` with that checkpoint cut inside a record's header and inside its
-  values, and of `generate` at a frame height off the patch grid;
+  over `infer` masks of every generated clip;
 - the loss and every parameter gradient of a 3-frame `clip_loss`, and the
   masks of a 12-frame `segment_clip`, at toy, detached track (`clip_loss`
   only), no ITM, dense attention over the final rows alone
@@ -71,23 +69,16 @@ def _tree(root):
                 yield f.read()
 
 
-def _run(work, *argv):
-    """(exit code, stdout, stderr) of the refvos CLI run in-process, with
-    `work` written as WORK."""
-    from refvos.cli import main
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, *(s.getvalue().replace(work, "WORK").encode() for s in (out, err))
-
-
 def _cli(work, *argv):
     """stdout of the refvos CLI run in-process, with `work` written as WORK;
     raises on a nonzero exit."""
-    code, stdout, stderr = _run(work, *argv)
+    from refvos.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
     if code:
-        raise RuntimeError(f"refvos {' '.join(argv)} exited with {code}: {stderr.decode()}")
-    return stdout
+        raise RuntimeError(f"refvos {' '.join(argv)} exited with {code}")
+    return out.getvalue().replace(work, "WORK").encode()
 
 
 def _config(work, name, lines):
@@ -153,26 +144,6 @@ def _eval_predictions(work):
                             "--data", data, "--predictions", preds)]}
 
 
-def _refusals(work):
-    """Exit code and stderr of runs the CLI refuses: `infer` with copies of
-    the `train.toy` checkpoint cut inside its first record's name and inside
-    its last record's values, and `generate` at a frame height that is not
-    a multiple of the patch size."""
-    with open(os.path.join(work, "train.toy.ckpt"), "rb") as f:
-        raw = f.read()
-    runs = {}
-    # the first name starts at byte 10, after the 8-byte magic and its length
-    for part, blob in (("header_cut", raw[:12]), ("values_cut", raw[:-4])):
-        ckpt = os.path.join(work, part + ".ckpt")
-        with open(ckpt, "wb") as f:
-            f.write(blob)
-        runs[part] = _run(work, "infer", "--checkpoint", ckpt, "--out", os.path.join(work, part),
-                          "--clip", os.path.join(work, "data", "clip0000"))
-    cfg = _config(work, "height36", TOY_LINES + ["data.height = 36"])
-    runs["height36"] = _run(work, "generate", "--config", cfg, "--out", os.path.join(work, "h36"))
-    return {part: [str(code).encode(), stderr] for part, (code, _, stderr) in runs.items()}
-
-
 def _model(flags, dtype):
     """A seed-1 model whose every parameter is moved by noise seeded by its
     name, so the adapters and the track update are not at their zero init."""
@@ -215,9 +186,8 @@ def _runs(name, run, variants):
 
 
 # (name, run): run(work) returns {part: byte chunks}, digested as `name.part`.
-# Runs go in this order: load and refusals read what train.toy wrote, eval and
-# infer read what generate and train.toy wrote, and overlay reads what infer
-# wrote.
+# Runs go in this order: load reads what train.toy wrote, eval and infer read
+# what generate and train.toy wrote, and overlay reads what infer wrote.
 ARTIFACTS = [
     ("generate", _generate),
     *[(f"train.{name}", functools.partial(_train, name=f"train.{name}", lines=lines))
@@ -231,7 +201,6 @@ ARTIFACTS = [
     ("infer", _infer),
     ("overlay", _overlay),
     ("eval.predictions", _eval_predictions),
-    ("refusals", _refusals),
     *_runs("clip_loss", _clip_loss, [
         ("toy", dict(flags=TOY)), ("detach_track", dict(flags=TOY, detach_track=True)),
         ("no_itm", dict(flags=dict(TOY, itm=False))), ("no_hda", dict(flags=NO_HDA)),
