@@ -92,7 +92,7 @@ def cmd_eval(args):
     tol = cfg.eval.tolerance_px
     dirs = list_clips(args.data)
     clips = [read_clip(d) for d in dirs]
-    if args.predictions:
+    if args.predictions is not None:
         # score precomputed mask directories, no model needed
         metrics = []
         for d, (clip, _, gts) in zip(dirs, clips):
@@ -100,8 +100,6 @@ def cmd_eval(args):
             metrics.append(evaluate_sequence(preds, gts, tol))
         m = aggregate(metrics)
     else:
-        if not args.checkpoint:
-            raise ValueError("eval: --checkpoint required unless --predictions given")
         model = model_from_checkpoint(load_checkpoint(args.checkpoint))
         m = _validate(model, clips, tol)
     print(f"J={m.J:.4f} F={m.F:.4f} JF={m.JF:.4f}")
@@ -111,9 +109,9 @@ def cmd_eval(args):
 def cmd_infer(args):
     model = model_from_checkpoint(load_checkpoint(args.checkpoint))
     clip = VideoClip(frames=read_frames(args.clip))
-    expr = parse_expression(args.expr) if args.expr else read_expression(args.clip)
+    expr = read_expression(args.clip) if args.expr is None else parse_expression(args.expr)
     masks = segment_clip(model, clip, expr)
-    out_dir = args.out or os.path.join(args.clip, "predictions")
+    out_dir = os.path.join(args.clip, "predictions") if args.out is None else args.out
     write_masks(out_dir, masks)
     print(f"wrote {len(masks)} masks to {out_dir}")
     return EXIT_OK
@@ -151,17 +149,18 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or saved predictions")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", default="")
     p.add_argument("--data", required=True)
-    p.add_argument("--predictions", default="",
-                   help="directory of per-clip mask folders to score instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--predictions",
+                        help="directory of per-clip mask folders to score instead")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="segment one clip")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--clip", required=True)
-    p.add_argument("--expr", default="")
-    p.add_argument("--out", default="")
+    p.add_argument("--expr")
+    p.add_argument("--out")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("overlay", help="export mask overlays")

@@ -6,9 +6,8 @@ reads it as a (C_v, H0, W0) map."""
 
 from dataclasses import dataclass
 
-from .autodiff import (DimensionError, Tensor, concat, layer_norm, linear,
-                       transposed_conv_upscale)
-from .encoder import attention, sinusoidal_grid
+from .autodiff import DimensionError, Tensor, concat, layer_norm, transposed_conv_upscale
+from .encoder import attention, mlp, sinusoidal_grid
 
 
 @dataclass
@@ -23,14 +22,10 @@ class DecoderOutput:
         """The (4*H0, 4*W0) logit map of mask i (0 is the main one): runs
         hypernetwork i when called, so training reads only mask 0 and
         inference only the best-scored one."""
-        params, up = self.params, self.up
-        c_up, h, w = up.shape
         pre = f"decoder.hyper{i}."
-        k = linear(self.tokens[1 + i:2 + i], params[pre + "fc1.weight"],
-                   params[pre + "fc1.bias"]).relu()
-        k = linear(k, params[pre + "fc2.weight"], params[pre + "fc2.bias"]).relu()
-        k = linear(k, params[pre + "fc3.weight"], params[pre + "fc3.bias"])
-        return (k @ up.reshape(c_up, h * w)).reshape(h, w)
+        k = mlp(self.tokens[1 + i:2 + i], self.params, (pre + "fc1", pre + "fc2", pre + "fc3"))
+        c_up, h, w = self.up.shape
+        return (k @ self.up.reshape(c_up, h * w)).reshape(h, w)
 
 
 def decode(visual, grid, sparse, dense, track, params, include_sentence_token=True):
@@ -79,8 +74,5 @@ def decode(visual, grid, sparse, dense, track, params, include_sentence_token=Tr
     up = transposed_conv_upscale(image.mT.reshape(c_v, h0, w0),
                                  params["decoder.up1.weight"], params["decoder.up1.bias"]).relu()
     up = transposed_conv_upscale(up, params["decoder.up2.weight"], params["decoder.up2.bias"]).relu()
-    iou = linear(tokens[0:1], params["decoder.iou_head.fc1.weight"],
-                 params["decoder.iou_head.fc1.bias"]).relu()
-    iou = linear(iou, params["decoder.iou_head.fc2.weight"],
-                 params["decoder.iou_head.fc2.bias"]).sigmoid()
+    iou = mlp(tokens[0:1], params, ("decoder.iou_head.fc1", "decoder.iou_head.fc2")).sigmoid()
     return DecoderOutput(tokens, up, params, iou_scores=iou, main_token_out=tokens[1:2])

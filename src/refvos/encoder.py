@@ -68,10 +68,17 @@ def sinusoidal_grid(width, h, w, dtype=np.float64):
     return grid
 
 
+def mlp(x, params, layers):
+    """The `linear` layers named in `layers` in turn, each reading
+    `<name>.{weight,bias}`, with a ReLU between each two and none after the last."""
+    for i, name in enumerate(layers):
+        x = linear(x.relu() if i else x, params[name + ".weight"], params[name + ".bias"])
+    return x
+
+
 def adapter_forward(tokens, params, prefix):
     """tokens + Up(ReLU(Down(tokens))); Up is zero-initialized."""
-    h = linear(tokens, params[prefix + "down.weight"], params[prefix + "down.bias"]).relu()
-    return tokens + linear(h, params[prefix + "up.weight"], params[prefix + "up.bias"])
+    return tokens + mlp(tokens, params, (prefix + "down", prefix + "up"))
 
 
 def attention(q_in, kv_in, params, prefix):
@@ -123,8 +130,7 @@ def encode_frame(frame, cfg, params):
         if cfg.adapter and i in cfg.adapter_blocks:
             tokens = adapter_forward(tokens, params, pre + "adapter1.")
         x = layer_norm(tokens, params[pre + "ln2.gamma"], params[pre + "ln2.beta"])
-        x = linear(x, params[pre + "mlp.fc1.weight"], params[pre + "mlp.fc1.bias"]).relu()
-        tokens = tokens + linear(x, params[pre + "mlp.fc2.weight"], params[pre + "mlp.fc2.bias"])
+        tokens = tokens + mlp(x, params, (pre + "mlp.fc1", pre + "mlp.fc2"))
         if cfg.adapter and i in cfg.adapter_blocks:
             tokens = adapter_forward(tokens, params, pre + "adapter2.")
         if i in cfg.tap_indices:

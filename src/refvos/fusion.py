@@ -4,21 +4,16 @@ the encoder's (..., H0*W0, C) patch rows."""
 import numpy as np
 
 from .autodiff import DimensionError, concat, linear, softmax
-from .encoder import TextEmbeddings
+from .encoder import TextEmbeddings, mlp
 
 
 def cross_modal_project(text, params):
     """Map word and sentence embeddings into the decoder's prompt space:
     the sparse prompts, a TextEmbeddings of width C_v. The sentence is
     projected as a (1, C) row and handed on as a (C_v,) vector."""
-    if "cmm.proj.weight" in params:
-        proj = lambda x: linear(x, params["cmm.proj.weight"], params["cmm.proj.bias"])
-    else:
-        proj = lambda x: linear(
-            linear(x, params["cmm.fc1.weight"], params["cmm.fc1.bias"]).relu(),
-            params["cmm.fc2.weight"], params["cmm.fc2.bias"])
-    return TextEmbeddings(words=proj(text.words),
-                          sentence=proj(text.sentence.reshape(1, -1)).reshape(-1))
+    layers = ("cmm.proj",) if "cmm.proj.weight" in params else ("cmm.fc1", "cmm.fc2")
+    return TextEmbeddings(words=mlp(text.words, params, layers),
+                          sentence=mlp(text.sentence.reshape(1, -1), params, layers).reshape(-1))
 
 
 def dense_attention(feat, sparse, params, prefix="hda.da0."):

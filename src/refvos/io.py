@@ -14,8 +14,8 @@ CHECKPOINT_MAGIC = b"REFSAM1\n"
 
 
 class ParseError(ValueError):
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, path, message, offset):
+        super().__init__(f"{path}: {message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -40,7 +40,7 @@ def _read_pnm(path, magic):
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(magic + b"\n") and not raw.startswith(magic + b" "):
-        raise ParseError(f"expected {magic.decode()} header", 0)
+        raise ParseError(path, f"expected {magic.decode()} header", 0)
     pos = len(magic)
     fields = []
     while len(fields) < 3:
@@ -50,21 +50,21 @@ def _read_pnm(path, magic):
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ParseError("truncated header", start)
+            raise ParseError(path, "truncated header", start)
         token = raw[start:pos]
         # int() refuses more than 4,300 digits; no image extent needs 19
         if not token.isdigit() or len(token) > 18:
-            raise ParseError(f"bad header token {token[:20]!r}", start)
+            raise ParseError(path, f"bad header token {token[:20]!r}", start)
         fields.append(int(token))
     pos += 1  # single whitespace byte before payload
     w, h, maxval = fields
     if maxval != 255:
-        raise ParseError("only 8-bit images supported", pos)
+        raise ParseError(path, "only 8-bit images supported", pos)
     channels = 3 if magic == b"P6" else 1
     need = w * h * channels
     payload = raw[pos:pos + need]
     if len(payload) != need:
-        raise ParseError("truncated payload", pos + len(payload))
+        raise ParseError(path, "truncated payload", pos + len(payload))
     return np.frombuffer(payload, dtype=np.uint8), h, w
 
 

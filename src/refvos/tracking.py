@@ -6,7 +6,8 @@ import gc
 
 import numpy as np
 
-from .autodiff import Tensor, bilinear_resize, layer_norm, linear, no_grad
+from .autodiff import Tensor, bilinear_resize, layer_norm, no_grad
+from .encoder import mlp
 from .losses import dice_loss, focal_loss
 from .metrics import region_similarity_J
 
@@ -20,8 +21,7 @@ FRAMES_PER_PASS = 8
 
 def track_update(main_token_out, params):
     """LayerNorm(E_m + FFN2(ReLU(FFN1(E_m))))."""
-    h = linear(main_token_out, params["itm.fc1.weight"], params["itm.fc1.bias"]).relu()
-    r = linear(h, params["itm.fc2.weight"], params["itm.fc2.bias"])
+    r = mlp(main_token_out, params, ("itm.fc1", "itm.fc2"))
     return layer_norm(main_token_out + r, params["itm.ln.gamma"], params["itm.ln.beta"])
 
 

@@ -426,7 +426,18 @@ def test_eval_without_checkpoint_or_predictions_fails(tmp_path):
     cfg = write_toy_config(tmp_path)
     data = tmp_path / "data"
     main(["generate", "--config", cfg, "--out", str(data)])
-    assert main(["eval", "--config", cfg, "--data", str(data)]) == EXIT_FAILURE
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", cfg, "--data", str(data)])
+    assert exc.value.code == 2
+
+
+def test_eval_with_both_checkpoint_and_predictions_exits_2(capsys):
+    # a usage error: argparse exits before any of the named files is read
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", "absent.cfg", "--data", "absent", "--checkpoint",
+              "absent.ckpt", "--predictions", "absent-preds"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -493,6 +504,35 @@ def test_infer_missing_token_exit_code(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == EXIT_FAILURE and out == ""
     assert err == "error: referring expression too long\n"
+    assert not (tmp_path / "preds").exists()
+
+
+def test_infer_an_empty_expression_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    main(["generate", "--config", cfg, "--out", str(data)])
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    capsys.readouterr()
+    clip = data / "clip0000"
+    assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(clip),
+                 "--expr", ""]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: referring expression must contain at least one word\n"
+    assert not (clip / "predictions").exists()
+
+
+def test_a_file_in_frames_that_is_not_a_ppm_is_named_in_the_error(tmp_path, capsys):
+    cfg = write_toy_config(tmp_path)
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    main(["generate", "--config", cfg, "--out", str(data)])
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    stray = data / "clip0000" / "frames" / ".hidden"
+    stray.write_bytes(b"not an image\n")
+    capsys.readouterr()
+    assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(data / "clip0000"),
+                 "--out", str(tmp_path / "preds")]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {stray}: expected P6 header (byte offset 0)\n"
     assert not (tmp_path / "preds").exists()
 
 

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from refvos import autodiff
 from refvos.autodiff import DimensionError, Tensor, layer_norm, linear
 from refvos.encoder import (MAX_WORDS, ConfigurationError, ReferringExpression,
-                            adapter_forward, encode_frame, encode_text,
+                            adapter_forward, encode_frame, encode_text, mlp,
                             pool_sentence, sinusoidal_grid)
 from refvos.model import Model, ModelConfig
 
@@ -130,6 +131,47 @@ def test_encode_frame_golden_regression():
     # frozen from the first verified run of this configuration
     assert abs(float(np.abs(ff.final.data).sum()) - 1678.6541285072958) < 1e-8
     assert abs(float(np.abs(ff.mids[0].data).sum()) - 2780.3647828993967) < 1e-8
+
+
+def _lin(x, params, name):
+    return linear(x, params[name + ".weight"], params[name + ".bias"])
+
+
+# the hand-written ReLU MLPs of 1, 2 and 3 layers over layers l0, l1, l2
+HAND_MLP = {
+    1: lambda x, p: _lin(x, p, "l0"),
+    2: lambda x, p: _lin(_lin(x, p, "l0").relu(), p, "l1"),
+    3: lambda x, p: _lin(_lin(_lin(x, p, "l0").relu(), p, "l1").relu(), p, "l2"),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mlp_is_the_hand_written_relu_chain_bit_for_bit(monkeypatch, depth, dtype):
+    rng = np.random.default_rng(depth)
+    widths = [6, 5, 7, 3][:depth + 1]
+    arrays = {}
+    for i in range(depth):
+        arrays[f"l{i}.weight"] = rng.normal(size=(widths[i], widths[i + 1])).astype(dtype)
+        arrays[f"l{i}.bias"] = rng.normal(size=widths[i + 1]).astype(dtype)
+    rows = rng.normal(size=(4, widths[0])).astype(dtype)
+
+    def run(forward):
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
+        x = Tensor(rows.copy(), requires_grad=True)
+        ops, make = [], autodiff._make
+        with monkeypatch.context() as m:
+            m.setattr(autodiff, "_make", lambda d, ps, op: ops.append(op) or make(d, ps, op))
+            out = forward(x, params)
+        (out * out).sum().backward()
+        grads = [params[k].grad for k in sorted(params)] + [x.grad]
+        return [out.data] + grads, ops
+
+    got, got_ops = run(lambda x, p: mlp(x, p, [f"l{i}" for i in range(depth)]))
+    want, want_ops = run(HAND_MLP[depth])
+    assert got_ops == want_ops and got_ops.count("relu") == depth - 1
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes()
 
 
 def test_adapter_zero_init_is_identity():
