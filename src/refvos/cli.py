@@ -78,10 +78,11 @@ def cmd_train(args):
         except NonFiniteError as exc:
             raise NonFiniteError(f"step {step}: {exc}") from exc
     # validation from the written checkpoint and on the frames as PPM files
-    # store them, so infer + eval on a generated dataset reproduce it
+    # store them, so infer + eval on a generated dataset reproduce it; each
+    # clip's stored copy is made when it is scored
     model = model_from_checkpoint(load_checkpoint(args.out_checkpoint))
-    stored = [(VideoClip(frames=[from_8bit(to_8bit(f)) for f in clip.frames]), expr, masks)
-              for clip, expr, masks in clips]
+    stored = ((VideoClip(frames=[from_8bit(to_8bit(f)) for f in clip.frames]), expr, masks)
+              for clip, expr, masks in clips)
     m = _validate(model, stored, cfg.eval.tolerance_px)
     print(f"J={m.J:.4f} F={m.F:.4f} JF={m.JF:.4f}")
     return EXIT_OK
@@ -89,19 +90,15 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = load_config(args.config)
-    tol = cfg.eval.tolerance_px
-    dirs = list_clips(args.data)
-    clips = [read_clip(d) for d in dirs]
-    if args.predictions is not None:
-        # score precomputed mask directories, no model needed
-        metrics = []
-        for d, (clip, _, gts) in zip(dirs, clips):
-            preds = read_masks(os.path.join(args.predictions, os.path.basename(d)), clip.frames)
-            metrics.append(evaluate_sequence(preds, gts, tol))
-        m = aggregate(metrics)
-    else:
-        model = model_from_checkpoint(load_checkpoint(args.checkpoint))
-        m = _validate(model, clips, tol)
+    model = (None if args.checkpoint is None else
+             model_from_checkpoint(load_checkpoint(args.checkpoint)))
+    metrics = []
+    for d in list_clips(args.data):   # each clip is read, scored and dropped in turn
+        clip, expr, gts = read_clip(d)
+        preds = (read_masks(os.path.join(args.predictions, os.path.basename(d)), clip.frames)
+                 if model is None else segment_clip(model, clip, expr))
+        metrics.append(evaluate_sequence(preds, gts, cfg.eval.tolerance_px))
+    m = aggregate(metrics)
     print(f"J={m.J:.4f} F={m.F:.4f} JF={m.JF:.4f}")
     return EXIT_OK
 
@@ -132,41 +129,48 @@ def cmd_overlay(args):
     return EXIT_OK
 
 
+def _path(text):
+    """The argparse type of every path flag: any text but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return text
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="refvos",
                                      description="Referring video object segmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--config", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-checkpoint", required=True)
+    p.add_argument("--config", type=_path, required=True)
+    p.add_argument("--out-checkpoint", type=_path, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or saved predictions")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--config", type=_path, required=True)
+    p.add_argument("--data", type=_path, required=True)
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--checkpoint")
-    source.add_argument("--predictions",
+    source.add_argument("--checkpoint", type=_path)
+    source.add_argument("--predictions", type=_path,
                         help="directory of per-clip mask folders to score instead")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("infer", help="segment one clip")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--clip", required=True)
+    p.add_argument("--checkpoint", type=_path, required=True)
+    p.add_argument("--clip", type=_path, required=True)
     p.add_argument("--expr")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("overlay", help="export mask overlays")
-    p.add_argument("--clip", required=True)
-    p.add_argument("--masks", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--clip", type=_path, required=True)
+    p.add_argument("--masks", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_overlay)
     return parser
 

@@ -6,17 +6,17 @@ import gc
 
 import numpy as np
 
-from .autodiff import Tensor, bilinear_resize, layer_norm, no_grad
+from .autodiff import DimensionError, Tensor, bilinear_resize, layer_norm, no_grad
 from .encoder import mlp
 from .losses import dice_loss, focal_loss
 from .metrics import region_similarity_J
 
-# Frames that segment_clip encodes and fuses in one pass. The encoder and HDA
+# Patches that segment_clip encodes and fuses in one pass. The encoder and HDA
 # depend only on the frame and the text, so they run once over a stack of
-# frames; only the decoder and the track update run frame by frame. A whole
-# 24-frame toy clip in one pass raised peak RSS by 4-6%; passes of 8 frames
-# kept it at the frame-by-frame level.
-FRAMES_PER_PASS = 8
+# frames; only the decoder and the track update run frame by frame. A pass
+# holds the whole frames that fit, and at least one (8 at 64 x 64 with 8-pixel
+# patches, one from 256 x 256 up), so its attention scores stay bounded.
+PATCHES_PER_PASS = 512
 
 
 def track_update(main_token_out, params):
@@ -38,10 +38,13 @@ def _decoded_frames(model, frames, sparse, frames_per_pass, detach_track=False):
     Encodes and fuses up to `frames_per_pass` frames at once, then decodes
     them one by one, each with the track token of the frame before it
     (detached if `detach_track`); no track update follows the last frame. A
-    pass's features are freed before the next pass is encoded."""
+    pass's features are freed before the next pass is encoded, and a pass with
+    a frame whose shape differs from frame 0's raises DimensionError."""
     track = None
     for start in range(0, len(frames), frames_per_pass):
         stack = frames[start:start + frames_per_pass]
+        if any(np.shape(f) != np.shape(frames[0]) for f in stack):
+            raise DimensionError("the frames of a clip must share one size")
         ff = model.encode_frame(stack)
         dense = model.dense_embeddings(ff, sparse)
         for t in range(len(stack)):
@@ -57,12 +60,15 @@ def _decoded_frames(model, frames, sparse, frames_per_pass, detach_track=False):
 def segment_clip(model, clip, expr):
     """Segment every frame online; returns a list of H x W binary masks.
 
-    Encodes and fuses FRAMES_PER_PASS frames at a time; frame t's mask
-    depends only on frames 0..t. Runs under `no_grad`: no graph is recorded,
-    and the track token carries only the previous frame's values forward."""
+    Encodes and fuses the frames that fit in PATCHES_PER_PASS at a time;
+    frame t's mask depends only on frames 0..t. Runs under `no_grad`: no graph
+    is recorded, and the track token carries only the previous frame forward."""
+    # frame 0's patches; a frame with none counts as one, and encode_frame refuses it
+    patches = np.size(clip.frames[0]) // (3 * model.cfg.patch_size ** 2) if clip.frames else 0
+    per_pass = max(1, PATCHES_PER_PASS // max(1, patches))
     with no_grad():
         sparse = model.sparse_embeddings(model.encode_text(expr))
-        decoded = _decoded_frames(model, clip.frames, sparse, FRAMES_PER_PASS)
+        decoded = _decoded_frames(model, clip.frames, sparse, per_pass)
         return [select_mask(out, *frame.shape[1:])
                 for frame, out in zip(clip.frames, decoded)]
 

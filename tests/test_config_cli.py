@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refvos
+from refvos import cli
 from refvos.cli import (EXIT_BAD_CHECKPOINT, EXIT_FAILURE, EXIT_OK,
                         EXIT_SHAPE_MISMATCH, main)
 from refvos.config import RunConfig, load_config, parse_config
@@ -458,6 +459,26 @@ def test_eval_predictions_that_do_not_fit_the_clip_exit_4(tmp_path, capsys, dama
     assert out == "" and err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("source", ["--checkpoint", "--predictions"])
+def test_eval_reads_and_scores_one_clip_at_a_time(tmp_path, capsys, monkeypatch, source):
+    cfg = write_toy_config(tmp_path, extra="data.clips = 3\n")
+    data, ckpt, preds = tmp_path / "data", tmp_path / "m.ckpt", tmp_path / "preds"
+    main(["generate", "--config", cfg, "--out", str(data)])
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    for clip in sorted(os.listdir(data)):
+        shutil.copytree(data / clip / "masks", preds / clip)
+    calls = []
+    read, score = cli.read_clip, cli.evaluate_sequence
+    monkeypatch.setattr(cli, "read_clip",
+                        lambda d: calls.append(("read", os.path.basename(d))) or read(d))
+    monkeypatch.setattr(cli, "evaluate_sequence", lambda *a: calls.append(("score",)) or score(*a))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--data", str(data),
+                 source, str(ckpt if source == "--checkpoint" else preds)]) == EXIT_OK
+    assert calls == [c for k in range(3) for c in (("read", f"clip{k:04d}"), ("score",))]
+    assert capsys.readouterr().out.startswith("J=")
+
+
 def test_eval_corrupt_checkpoint_exit_code(tmp_path):
     cfg = write_toy_config(tmp_path)
     data = tmp_path / "data"
@@ -614,6 +635,39 @@ def test_data_directory_without_clip_folders_exits_4(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: data directory {data} has no clip folders\n"
     assert not out_ckpt.exists()
+
+
+# every path flag of every subcommand, with a value that names a real input
+_PATH_FLAGS = {
+    "generate": {"--config": "run.cfg", "--out": "out"},
+    "train": {"--config": "run.cfg", "--out-checkpoint": "out.ckpt"},
+    "eval": {"--config": "run.cfg", "--data": "data", "--checkpoint": "m.ckpt"},
+    "infer": {"--checkpoint": "m.ckpt", "--clip": "data/clip0000", "--out": "out"},
+    "overlay": {"--clip": "data/clip0000", "--masks": "data/clip0000/masks", "--out": "out"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _PATH_FLAGS.items() for flag in flags
+] + [("eval", "--predictions")])
+def test_an_empty_path_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                    command, flag):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_toy_config(tmp_path, steps=1)
+    main(["generate", "--config", cfg, "--out", "data"])
+    save_checkpoint("m.ckpt", Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    flags = dict(_PATH_FLAGS[command])
+    if flag == "--predictions":
+        del flags["--checkpoint"]
+    flags[flag] = ""
+    before = sorted(os.walk(tmp_path))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(x for item in flags.items() for x in item)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument {flag}: expected a path, got an empty string" in err
+    assert sorted(os.walk(tmp_path)) == before
 
 
 def test_infer_expr_needs_only_the_frames_folder(tmp_path, capsys):

@@ -9,13 +9,13 @@ import zlib
 import numpy as np
 import pytest
 
-from refvos.autodiff import Tensor, bilinear_resize, layer_norm, linear, no_grad
+from refvos.autodiff import DimensionError, Tensor, bilinear_resize, layer_norm, linear, no_grad
 from refvos.data import SyntheticSpec, VideoClip, generate_clip
 from refvos.losses import LossConfig
 from refvos.model import Model, ModelConfig
 from refvos.optim import AdamW
-from refvos.tracking import (FRAMES_PER_PASS, _decoded_frames, clip_loss,
-                             sample_training_frames, segment_clip, track_update, train_step)
+from refvos.tracking import (_decoded_frames, clip_loss, sample_training_frames, segment_clip,
+                             select_mask, track_update, train_step)
 
 
 def toy_model(seed=0, dtype=np.float64, **kw):
@@ -130,6 +130,77 @@ def test_segment_clip_passes_equal_rank3_frame_loop(monkeypatch):
         assert all(np.array_equal(out.mask(i).data, out_ref.mask(i).data) for i in range(4))
     prefix = segment_clip(model, VideoClip(frames=clip.frames[:10]), expr)
     assert all(np.array_equal(a, b) for a, b in zip(prefix, masks[:10], strict=True))
+
+
+def _varied_clip(frames, size):
+    """A toy clip of `frames` frames of size x size, each frame distinct."""
+    short, expr, _ = generate_clip(SyntheticSpec(seed=3, frames=min(frames, 5), max_objects=2,
+                                                 height=size, width=size))
+    return VideoClip(frames=[short.frames[t % 5] * (1.0 - 0.01 * t)
+                             for t in range(frames)]), expr
+
+
+@pytest.mark.parametrize("frames, size", [(10, 64), (3, 256)])
+def test_masks_are_the_same_bytes_at_any_pass_size(frames, size):
+    model = toy_model(seed=1)
+    rng = np.random.default_rng(6)
+    for p in model.params.values():   # nonzero adapters and track update
+        p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
+    clip, expr = _varied_clip(frames, size)
+    masks = segment_clip(model, clip, expr)
+    with no_grad():
+        sparse = model.sparse_embeddings(model.encode_text(expr))
+        for per_pass in (1, 2, 8):
+            decoded = _decoded_frames(model, clip.frames, sparse, per_pass)
+            other = [select_mask(out, size, size) for out in decoded]
+            assert [m.tobytes() for m in other] == [m.tobytes() for m in masks], per_pass
+
+
+@pytest.mark.parametrize("size, frames, passes", [
+    (64, 10, [8, 2]), (128, 5, [2, 2, 1]), (256, 2, [1, 1])])
+def test_the_pass_size_is_the_frames_that_fit_in_the_patch_budget(monkeypatch, size, frames,
+                                                                   passes):
+    model = toy_model()
+    clip, expr = _varied_clip(frames, size)
+    sizes, encode = [], model.encode_frame
+    monkeypatch.setattr(model, "encode_frame", lambda f: sizes.append(len(f)) or encode(f))
+    segment_clip(model, clip, expr)
+    assert sizes == passes
+
+
+def test_a_long_clip_of_large_frames_peaks_near_one_frame():
+    # from 256 x 256 a pass holds one frame, so the clip's length adds only
+    # its masks to the peak, not 7 more frames' attention scores
+    model = toy_model()
+    clip, expr = _varied_clip(8, 256)
+    segment_clip(model, VideoClip(frames=clip.frames[:1]), expr)   # fill the resize caches
+    peaks = []
+    for n in (1, 8):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            segment_clip(model, VideoClip(frames=clip.frames[:n]), expr)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("first, odd", [((64, 64), (128, 64)), ((128, 64), (64, 64))],
+                         ids=["larger-odd-frame", "smaller-odd-frame"])
+@pytest.mark.parametrize("before", [1, 8], ids=["same-pass", "new-pass"])
+def test_a_clip_whose_frames_differ_in_size_is_refused(first, odd, before):
+    # the odd frame shares the first frame's pass, or (before = 8) starts a
+    # pass of its own in segment_clip; clip_loss runs one frame per pass
+    model = toy_model()
+    rng = np.random.default_rng(0)
+    frames = [rng.random((3, *first)) for _ in range(before)] + [rng.random((3, *odd))]
+    gts = [np.zeros(f.shape[1:], np.uint8) for f in frames]
+    expr = toy_clip(frames=1)[1]
+    with pytest.raises(DimensionError, match="the frames of a clip must share one size"):
+        segment_clip(model, VideoClip(frames=frames), expr)
+    with pytest.raises(DimensionError, match="the frames of a clip must share one size"):
+        clip_loss(model, frames, expr, gts, LossConfig())
 
 
 def test_frame1_independent_of_itm_params():
@@ -496,13 +567,13 @@ def test_decoded_logits_and_scores_match_the_perfbench_reference(monkeypatch):
         p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
     clip, expr, _ = toy_clip(frames=5)
     # two passes, so a track token crosses from one pass to the next
-    frames = [clip.frames[t % 5] * (1.0 - 0.01 * t) for t in range(FRAMES_PER_PASS + 2)]
+    frames = [clip.frames[t % 5] * (1.0 - 0.01 * t) for t in range(10)]
     cfg = model.cfg
     arch = dict(patch_size=cfg.patch_size, blocks=cfg.blocks, taps=cfg.tap_indices)
     ref = reference.segment({n: p.data for n, p in model.params.items()}, arch, frames, expr.words)
     with no_grad():
         sparse = model.sparse_embeddings(model.encode_text(expr))
-        decoded = list(_decoded_frames(model, frames, sparse, FRAMES_PER_PASS))
+        decoded = list(_decoded_frames(model, frames, sparse, 8))
     assert len(decoded) == len(ref) == len(frames)
     for frame, out, (ref_logits, ref_scores) in zip(frames, decoded, ref):
         logits = np.stack([bilinear_resize(out.mask(i), *frame.shape[1:]).data
