@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the segmentation model needs are provided. Tensors are
-immutable once produced by an op; every op validates that its output is
-finite and raises NonFiniteError naming the offending op otherwise. The ops
-that cannot turn a finite input into a non-finite output (reshape,
-transpose, getitem, concat, neg, relu) skip that scan.
+immutable once produced by an op, and finite: a value is scanned for NaN and
+Inf only where a finite input can first turn it non-finite (NonFiniteError
+names the op). `Tensor(...)` scans outside data, `_leaf` wraps arrays known
+to be finite unscanned, and an op scans its output unless finite inputs and
+its inner scans keep it finite (`_FINITE_PRESERVING`).
 
 Every op returns through `_record(data, parents, op, backward)`: `_make`
 wraps the output, and the closure `backward` is attached only when the
@@ -38,10 +39,7 @@ are (..., H0*W0, C) patch rows, so a 1x1 convolution over them is `linear`.
 `attention` fuses the query projection, the scaled scores, softmax, the
 weighted sum and the output projection; the key and value projections stay
 `linear` ops, so that a weight shared over frames gathers its gradients in
-the chain's order (see its docstring). It scans q, the shifted scores, the
-weighted sum and its output: a non-finite score makes the shifted scores
-non-finite, and finite shifted scores keep the weights in [0, 1], so the
-chain's scans of the scores and of softmax's output could not fire alone.
+the chain's order (see its docstring).
 `losses.dice_loss` and `losses.focal_loss` are fused ops of the same kind,
 made through this module's `_record`.
 
@@ -321,8 +319,8 @@ def _as_tensor(x, dtype):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-# ops whose output is finite whenever their input is
-_FINITE_PRESERVING = frozenset(("reshape", "transpose", "getitem", "concat", "neg", "relu"))
+# ops whose output is finite when their inputs are and their inner scans pass
+_FINITE_PRESERVING = frozenset("reshape transpose getitem concat neg relu sigmoid softmax".split())
 
 
 def _make(data, parents, op):
@@ -446,6 +444,11 @@ def attention(q_in, Wq, bq, k, v, Wo, bo):
     stay ops of their own: in the chain, q_in's history runs backward before
     the k and v projections do, and a leaf they share (the k/v weights of a
     decoder reused over frames) must gather its gradients in that order.
+
+    It scans its shifted scores and its output, and raises NonFiniteError
+    naming 'attention' wherever the chain's scans would: a non-finite query
+    or score makes the shifted scores non-finite, finite ones keep the
+    weights in [0, 1], and a non-finite weighted sum makes the output so.
     """
     xd, kd, vd = q_in.data, k.data, v.data
     if xd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
@@ -455,13 +458,11 @@ def attention(q_in, Wq, bq, k, v, Wo, bo):
     if vd.shape[-1] != Wo.shape[0]:
         raise DimensionError(f"attention: value width {vd.shape[-1]} vs weight {Wo.shape[0]}")
     q = np.matmul(xd, Wq.data) + bq.data
-    _check_finite(q, "attention")
     kt = kd.swapaxes(-1, -2)
     qk = np.matmul(q, kt)
     c = np.asarray(1.0 / np.sqrt(Wq.shape[1]), dtype=qk.dtype)
     att, softmax_back = _softmax(qk * c, -1, "attention")
     av = np.matmul(att, vd)
-    _check_finite(av, "attention")
 
     def bwd(g):
         # the chain's reverse order: the output linear, the weighted sum,
@@ -537,8 +538,8 @@ def bilinear_resize(x, out_h, out_w):
     if x.data.ndim != 2:
         raise DimensionError(f"bilinear_resize: input must be an (H, W) map, not {x.shape}")
     h, w = x.shape
-    rows = Tensor(_interp_matrix(out_h, h, x.dtype))
-    cols_t = Tensor(_interp_matrix(out_w, w, x.dtype).T)
+    rows = _leaf(_interp_matrix(out_h, h, x.dtype), False)
+    cols_t = _leaf(_interp_matrix(out_w, w, x.dtype).T, False)
     return (rows @ x) @ cols_t
 
 

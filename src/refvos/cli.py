@@ -11,7 +11,7 @@ from .config import load_config
 from .data import (GenerationError, VideoClip, clip_spec, generate_clip, list_clips,
                    parse_expression, read_clip, read_expression, read_frames, read_masks,
                    write_dataset, write_frames, write_masks)
-from .encoder import ConfigurationError
+from .encoder import ConfigurationError, patch_grid
 from .io import CheckpointError, ParseError, from_8bit, load_checkpoint, save_checkpoint, to_8bit
 from .metrics import aggregate, evaluate_sequence
 from .model import SEED_SAMPLER, Model, model_from_checkpoint
@@ -44,8 +44,18 @@ def cmd_generate(args):
 
 
 def _load_training_clips(cfg):
+    """The training clips; clips read from data.root are refused, naming the
+    clip, unless their frames cut into whole patches of the model."""
     if cfg.data.root:
-        return [read_clip(d) for d in list_clips(cfg.data.root)]
+        clips = []
+        for d in list_clips(cfg.data.root):
+            clip, expr, masks = read_clip(d)
+            try:
+                patch_grid(*clip.frames[0].shape[1:], cfg.model.patch_size)
+            except DimensionError as exc:
+                raise DimensionError(f"clip {d}: {exc}") from exc
+            clips.append((clip, expr, masks))
+        return clips
     spec = _synthetic_spec(cfg)
     return [generate_clip(clip_spec(spec, k)) for k in range(cfg.data.clips)]
 
@@ -58,6 +68,9 @@ def _validate(model, clips, tolerance):
 
 def cmd_train(args):
     cfg = load_config(args.config)
+    folder = os.path.dirname(args.out_checkpoint) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"checkpoint folder {folder} does not exist")
     seed = cfg.train.seed
     clips = _load_training_clips(cfg)
     model = Model(cfg.model_config(), seed=seed)

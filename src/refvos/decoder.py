@@ -6,7 +6,7 @@ reads it as a (C_v, H0, W0) map."""
 
 from dataclasses import dataclass
 
-from .autodiff import DimensionError, Tensor, concat, layer_norm, transposed_conv_upscale
+from .autodiff import DimensionError, Tensor, _leaf, concat, layer_norm, transposed_conv_upscale
 from .encoder import attention, mlp, sinusoidal_grid
 
 
@@ -47,7 +47,7 @@ def decode(visual, grid, sparse, dense, track, params, include_sentence_token=Tr
         if dense.shape != visual.shape:
             raise DimensionError("decode: dense rows shape mismatch")
         image = image + dense
-    image = image + Tensor(sinusoidal_grid(c_v, h0, w0, visual.dtype))   # (HW, C_v)
+    image = image + _leaf(sinusoidal_grid(c_v, h0, w0, visual.dtype), False)   # (HW, C_v)
 
     parts = [params["decoder.token.iou"].reshape(1, c_v),
              params["decoder.token.main"].reshape(1, c_v)]

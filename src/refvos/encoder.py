@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DimensionError, Tensor, layer_norm, linear
+from .autodiff import DimensionError, Tensor, _leaf, layer_norm, linear
 from .autodiff import attention as fused_attention
 
 
@@ -91,6 +91,16 @@ def attention(q_in, kv_in, params, prefix):
                            params[prefix + "wo.weight"], params[prefix + "wo.bias"])
 
 
+def patch_grid(h, w, ps):
+    """The (H0, W0) grid of ps x ps patches that an h x w frame cuts into;
+    DimensionError unless the frame has pixels and ps divides both sides."""
+    if not h or not w:
+        raise DimensionError(f"frame has no pixels: its sides are {h} x {w}")
+    if h % ps or w % ps:
+        raise DimensionError(f"frame dims must be divisible by patch size {ps}")
+    return h // ps, w // ps
+
+
 def encode_frame(frame, cfg, params):
     """Run a frame (a (3, H, W) array in [0, 1]) or a stack of equally sized
     frames ((..., 3, H, W), or a sequence of frames) through the encoder;
@@ -106,11 +116,7 @@ def encode_frame(frame, cfg, params):
         raise DimensionError("frame must be (..., 3, H, W)")
     *lead, _, h, w = frame.shape
     ps = cfg.patch_size
-    if not h or not w:
-        raise DimensionError(f"frame has no pixels: its sides are {h} x {w}")
-    if h % ps or w % ps:
-        raise DimensionError(f"frame dims must be divisible by patch size {ps}")
-    h0, w0 = h // ps, w // ps
+    h0, w0 = patch_grid(h, w, ps)
     d = cfg.token_width
     dtype = params["encoder.patch.weight"].dtype
     # (..., 3, h0, ps, w0, ps) -> (..., h0, w0, 3, ps, ps)
@@ -120,7 +126,7 @@ def encode_frame(frame, cfg, params):
     del frame
     tokens = linear(patches, params["encoder.patch.weight"], params["encoder.patch.bias"])
     del patches
-    tokens = tokens + Tensor(sinusoidal_grid(d, h0, w0, dtype))
+    tokens = tokens + _leaf(sinusoidal_grid(d, h0, w0, dtype), False)
 
     taps = {}
     for i in range(cfg.blocks):
@@ -156,9 +162,8 @@ def pool_sentence(words):
 
 
 def encode_text(expr, table):
-    """Word rows of `table` (the text.table Tensor) for the hashed words of
-    expr, and their mean."""
-    rows = table.data[[_bucket(w, table.shape[0]) for w in expr.words]]
-    words = Tensor(rows)
+    """Word rows of `table` (the frozen text.table Tensor, finite) for the
+    hashed words of expr, and their mean."""
+    words = _leaf(table.data[[_bucket(w, table.shape[0]) for w in expr.words]], False)
     return TextEmbeddings(words=words, sentence=pool_sentence(words))
 

@@ -43,6 +43,13 @@ def test_softmax_rows_normalized():
         assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
+def test_softmax_of_a_finite_row_whose_shift_overflows_raises():
+    # the shifted row is [0, -inf]: its exp, and so the output, is finite, so
+    # only softmax's scan of the shifted row reports the overflow
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="'softmax'"):
+        softmax(Tensor([1e308, -1e308]))
+
+
 def test_softmax_bad_axis():
     with pytest.raises(DimensionError):
         softmax(Tensor([1.0, 2.0]), axis=3)

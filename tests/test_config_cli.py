@@ -16,6 +16,7 @@ from refvos import cli
 from refvos.cli import (EXIT_BAD_CHECKPOINT, EXIT_FAILURE, EXIT_OK,
                         EXIT_SHAPE_MISMATCH, main)
 from refvos.config import RunConfig, load_config, parse_config
+from refvos.data import SyntheticSpec, generate_clip, write_clip
 from refvos.encoder import ConfigurationError
 from refvos.io import save_checkpoint, write_pgm, write_ppm
 from refvos.model import Model, ModelConfig
@@ -319,6 +320,32 @@ def test_generate_impossible_long_clips_exits_one(tmp_path, capsys):
     cfg = write_toy_config(tmp_path, extra="data.frames = 24\ndata.clips = 8\n")
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_FAILURE
     assert "error: object cannot stay inside its cell" in capsys.readouterr().err
+    # the clips written before the failing one are removed with their folder
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+def _tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_generate_refuses_a_used_folder_and_leaves_its_bytes(tmp_path, capsys):
+    # a second run of fewer, shorter clips once left a mix of both runs
+    out = tmp_path / "data"
+    main(["generate", "--config", write_toy_config(tmp_path, extra="data.frames = 8\n"),
+          "--out", str(out)])
+    before = _tree_bytes(out)
+    cfg = write_toy_config(tmp_path, extra="data.clips = 1\ndata.frames = 5\ntrain.seed = 9\n")
+    capsys.readouterr()
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_FAILURE
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith(f"error: {out} already holds files")
+    assert _tree_bytes(out) == before
+    assert sorted(os.listdir(tmp_path)) == ["data", "run.cfg"]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["generate", "--config", cfg, "--out", str(empty)]) == EXIT_OK
+    assert sorted(os.listdir(empty)) == ["clip0000"]
 
 
 def test_generate_small_canvas_exits_4(tmp_path, capsys):
@@ -364,6 +391,35 @@ def test_generate_negative_seed_exits_4_before_writing(tmp_path, capsys):
 
 
 # ---- train / eval / infer ---------------------------------------------------
+
+def test_train_refuses_a_checkpoint_in_a_missing_folder_before_step_1(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the save at step 10 once failed on a temporary file named after the path
+    monkeypatch.chdir(tmp_path)
+    cfg = write_toy_config(tmp_path, steps=12, extra="train.checkpoint_interval = 10\n")
+    code = main(["train", "--config", cfg, "--out-checkpoint", os.path.join("nodir", "m.ckpt")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert err == "error: checkpoint folder nodir does not exist\n"
+    assert "step=" not in out
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+def test_train_refuses_a_data_root_clip_off_the_patch_grid_before_step_1(tmp_path, capsys):
+    # such a clip once failed, unnamed, at the first step that drew it
+    data = tmp_path / "data"
+    assert main(["generate", "--config", write_toy_config(tmp_path), "--out", str(data)]) == 0
+    clip, expr, masks = generate_clip(SyntheticSpec(height=60, width=64, frames=3))
+    write_clip(str(data / "clip0002"), clip, expr, masks)
+    cfg = write_toy_config(tmp_path, extra=f"data.root = {data}\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", cfg, "--out-checkpoint", str(ckpt)]) == EXIT_SHAPE_MISMATCH
+    out, err = capsys.readouterr()
+    assert err == (f"error: clip {data / 'clip0002'}: frame dims must be divisible "
+                   f"by patch size 8\n")
+    assert "step=" not in out
+    assert not ckpt.exists()
+
 
 def test_train_log_format_and_checkpoint(tmp_path, capsys):
     cfg = write_toy_config(tmp_path, steps=2)

@@ -448,6 +448,28 @@ def test_op_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
     assert _count_ops(monkeypatch, lambda: segment_clip(model, long_clip, expr)).total() == 1955
 
 
+def test_scan_counts_of_a_toy_train_step_and_a_long_toy_clip(monkeypatch):
+    # a value is scanned where a finite input can first turn it non-finite:
+    # not q and the weighted sum inside attention, not the output of sigmoid
+    # or softmax, not the cached tables or the word rows
+    from refvos import autodiff
+    model = toy_model()
+    clip, expr, gts = toy_clip(frames=5)
+    opt = AdamW(model.trainable_params(), default_lrs())
+    step = lambda: train_step([(clip.frames[:3], expr, gts[:3])], model, opt, LossConfig())
+    step()
+    long_clip = VideoClip(frames=[clip.frames[i] for i in [0, 1, 2, 3, 4, 3, 2, 1] * 3])
+    counts = []
+    for run in (step, lambda: segment_clip(model, long_clip, expr)):
+        scans, check = [], autodiff._check_finite
+        counting = lambda data, op: (scans.append(op), check(data, op))
+        with monkeypatch.context() as m:
+            m.setattr(autodiff, "_check_finite", counting)
+            run()
+        counts.append(len(scans))
+    assert counts == [421, 1688]
+
+
 @pytest.mark.parametrize("frames", [1, 3])
 def test_the_track_update_runs_between_frames_only(monkeypatch, frames):
     from refvos import tracking
