@@ -12,7 +12,8 @@ from .data import (GenerationError, VideoClip, clip_spec, generate_clip, list_cl
                    parse_expression, read_clip, read_expression, read_frames, read_masks,
                    write_dataset, write_frames, write_masks)
 from .encoder import ConfigurationError, patch_grid
-from .io import CheckpointError, ParseError, from_8bit, load_checkpoint, save_checkpoint, to_8bit
+from .io import (CheckpointError, ParseError, from_8bit, load_checkpoint, publish,
+                 save_checkpoint, to_8bit)
 from .metrics import aggregate, evaluate_sequence
 from .model import SEED_SAMPLER, Model, model_from_checkpoint
 from .optim import AdamW
@@ -71,6 +72,8 @@ def cmd_train(args):
     folder = os.path.dirname(args.out_checkpoint) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"checkpoint folder {folder} does not exist")
+    if os.path.isdir(args.out_checkpoint):
+        raise IsADirectoryError(f"{args.out_checkpoint} exists and is not a file")
     seed = cfg.train.seed
     clips = _load_training_clips(cfg)
     model = Model(cfg.model_config(), seed=seed)
@@ -120,25 +123,20 @@ def cmd_infer(args):
     model = model_from_checkpoint(load_checkpoint(args.checkpoint))
     clip = VideoClip(frames=read_frames(args.clip))
     expr = read_expression(args.clip) if args.expr is None else parse_expression(args.expr)
-    masks = segment_clip(model, clip, expr)
     out_dir = os.path.join(args.clip, "predictions") if args.out is None else args.out
-    write_masks(out_dir, masks)
-    print(f"wrote {len(masks)} masks to {out_dir}")
+    publish(out_dir, lambda tmp: write_masks(tmp, segment_clip(model, clip, expr)), folder=True)
+    print(f"wrote {len(clip.frames)} masks to {out_dir}")
     return EXIT_OK
 
 
 def cmd_overlay(args):
     frames = read_frames(args.clip)
     masks = read_masks(args.masks, frames)
-    tint = np.array([1.0, 0.2, 0.2])
-    overlays = []
-    for frame, mask in zip(frames, masks):
-        mask = mask.astype(bool)
-        out = frame.copy()
-        out[:, mask] = 0.5 * out[:, mask] + 0.5 * tint[:, None]
-        overlays.append(out)
-    write_frames(args.out, overlays)
-    print(f"wrote {len(overlays)} overlays to {args.out}")
+    tint = np.array([1.0, 0.2, 0.2])[:, None, None]
+    overlays = (np.where(mask.astype(bool), 0.5 * frame + 0.5 * tint, frame)
+                for frame, mask in zip(frames, masks))
+    publish(args.out, lambda tmp: write_frames(tmp, overlays), folder=True)
+    print(f"wrote {len(frames)} overlays to {args.out}")
     return EXIT_OK
 
 

@@ -2,14 +2,13 @@
 on-disk dataset layout."""
 
 import os
-import shutil
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import DimensionError
 from .encoder import ReferringExpression
-from .io import read_pgm, read_ppm, write_pgm, write_ppm
+from .io import publish, read_pgm, read_ppm, write_pgm, write_ppm
 
 SHAPES = ("square", "circle", "triangle")
 COLORS = {"red": (1.0, 0.1, 0.1), "green": (0.1, 0.9, 0.1),
@@ -197,25 +196,13 @@ def clip_spec(spec, k):
 
 
 def write_dataset(root, spec, num_clips):
-    """Write num_clips clips into root, a new or empty folder; clip k is
-    generated from clip_spec(spec, k). A root that holds files is refused
-    before any clip is generated. The clips are written into a temporary
-    folder beside root, renamed into place once all are written, so root
-    holds either nothing or the whole dataset."""
-    if os.path.exists(root) and os.listdir(root):
-        raise GenerationError(f"{root} already holds files; "
-                              "generate writes only into a new or empty folder")
-    tmp = f"{os.path.abspath(root)}.{os.getpid()}.tmp"
-    os.makedirs(os.path.dirname(tmp), exist_ok=True)
-    os.mkdir(tmp)
-    try:
+    """Write num_clips clips, published as one folder at root by `publish`;
+    clip k is generated from clip_spec(spec, k)."""
+    def write(tmp):
         for k in range(num_clips):
             clip, expr, masks = generate_clip(clip_spec(spec, k))
             write_clip(os.path.join(tmp, f"clip{k:04d}"), clip, expr, masks)
-        os.replace(tmp, root)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    publish(root, write, folder=True)
     return num_clips
 
 

@@ -1,7 +1,9 @@
-"""Binary file formats: PGM/PPM images and model checkpoints."""
+"""Binary file formats: PGM/PPM images and model checkpoints, and the one way
+an output is written: whole or not at all."""
 
 import math
 import os
+import shutil
 import stat
 import struct
 from io import BytesIO
@@ -100,17 +102,40 @@ def read_ppm(path):
     return from_8bit(data.reshape(h, w, 3).transpose(2, 0, 1))
 
 
-# ---- checkpoints ----------------------------------------------------------
+# ---- outputs and checkpoints -----------------------------------------------
+
+def publish(path, write, folder=False):
+    """Write an output whole or not at all: write(tmp) makes it at a temporary
+    path beside `path` (for a folder output, an empty folder made first), then
+    it is renamed over `path`. A folder that holds files, or a `path` of the
+    other kind, is refused before write runs, and on any failure the temporary,
+    file or folder, is removed. A file output replaces a file."""
+    if os.path.isdir(path) and os.listdir(path):
+        raise FileExistsError(f"{path} already holds files; "
+                              "an output goes only to a new path or an empty folder")
+    if os.path.lexists(path) and os.path.isdir(path) != folder:
+        raise FileExistsError(f"{path} exists and is not a {'folder' if folder else 'file'}")
+    tmp = f"{os.path.abspath(path)}.{os.getpid()}.tmp"
+    if folder:
+        os.makedirs(tmp)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isdir(tmp):
+            shutil.rmtree(tmp, ignore_errors=True)
+        elif os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
+
 
 def save_checkpoint(path, arrays):
     """Record stream of named float32 arrays, sorted by name for
-    reproducible bytes. Written to a temporary file beside `path` and
-    renamed over it, so `path` holds either its old or its new bytes.
-    Raises NonFiniteError, naming the record, on a value that is not finite
-    in float32 (a float64 beyond float32's range casts to inf), which
-    loading would reject; `path` then keeps its old bytes."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
+    reproducible bytes, published at `path` by `publish`. Raises
+    NonFiniteError, naming the record, on a value that is not finite in
+    float32 (a float64 beyond float32's range casts to inf), which loading
+    would reject; `path` then keeps its old bytes."""
+    def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             for name in sorted(arrays):
@@ -125,11 +150,7 @@ def save_checkpoint(path, arrays):
                 for extent in arr.shape:
                     fh.write(struct.pack("<I", extent))
                 fh.write(arr)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    publish(path, write)
 
 
 def load_checkpoint(path):

@@ -405,6 +405,22 @@ def test_train_refuses_a_checkpoint_in_a_missing_folder_before_step_1(tmp_path, 
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("out", ["ckdir", "ckdir/"])
+def test_train_refuses_a_checkpoint_path_that_is_a_folder_before_step_1(tmp_path, capsys,
+                                                                       monkeypatch, out):
+    # the save at step 10 once failed on a temporary file named after the path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ckdir").mkdir()
+    cfg = write_toy_config(tmp_path, steps=12, extra="train.checkpoint_interval = 10\n")
+    code = main(["train", "--config", cfg, "--out-checkpoint", out])
+    stdout, err = capsys.readouterr()
+    assert code == EXIT_FAILURE
+    assert err == f"error: {out} exists and is not a file\n"
+    assert "step=" not in stdout
+    assert sorted(os.listdir(tmp_path)) == ["ckdir", "run.cfg"]
+    assert os.listdir(tmp_path / "ckdir") == []
+
+
 def test_train_refuses_a_data_root_clip_off_the_patch_grid_before_step_1(tmp_path, capsys):
     # such a clip once failed, unnamed, at the first step that drew it
     data = tmp_path / "data"
@@ -767,6 +783,104 @@ def test_overlay_writes_frames(tmp_path, capsys):
     assert main(["overlay", "--clip", str(clip),
                  "--masks", str(clip / "masks"), "--out", str(out)]) == EXIT_OK
     assert sorted(os.listdir(out)) == [f"{t:05d}.ppm" for t in range(3)]
+
+
+def _one_clip_and_checkpoint(tmp_path, frames=3, name="data"):
+    """A generated one-clip dataset of `frames` frames, its config and a
+    seed-2 toy checkpoint."""
+    cfg = write_toy_config(tmp_path, extra=f"data.clips = 1\ndata.frames = {frames}\n")
+    data, ckpt = tmp_path / name, tmp_path / "m.ckpt"
+    assert main(["generate", "--config", cfg, "--out", str(data)]) == EXIT_OK
+    save_checkpoint(ckpt, Model(ModelConfig(**TOY_MODEL), seed=2).checkpoint_arrays())
+    return cfg, data / "clip0000", ckpt
+
+
+def test_infer_into_the_ground_truth_masks_exits_1_and_leaves_them(tmp_path, capsys):
+    # infer once overwrote the ground truth, and eval then printed JF=1.0000
+    cfg, clip, ckpt = _one_clip_and_checkpoint(tmp_path)
+    evaluate = ["eval", "--config", cfg, "--checkpoint", str(ckpt),
+                "--data", str(tmp_path / "data")]
+    capsys.readouterr()
+    assert main(evaluate) == EXIT_OK
+    line = capsys.readouterr().out
+    before = _tree_bytes(clip)
+    assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(clip),
+                 "--out", str(clip / "masks")]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {clip / 'masks'} already holds files")
+    assert _tree_bytes(clip) == before
+    assert main(evaluate) == EXIT_OK
+    assert capsys.readouterr().out == line
+
+
+def test_infer_of_a_shorter_clip_into_a_used_folder_exits_1_and_leaves_its_masks(tmp_path,
+                                                                                capsys):
+    # a 5-frame infer once left 2 stale masks of an earlier 7-frame one
+    _, long_clip, ckpt = _one_clip_and_checkpoint(tmp_path, frames=7, name="long")
+    _, short_clip, _ = _one_clip_and_checkpoint(tmp_path, frames=5, name="short")
+    preds = tmp_path / "preds"
+    assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(long_clip),
+                 "--out", str(preds)]) == EXIT_OK
+    before = _tree_bytes(preds)
+    assert len(before) == 7
+    capsys.readouterr()
+    assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(short_clip),
+                 "--out", str(preds)]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {preds} already holds files")
+    assert _tree_bytes(preds) == before
+
+
+def test_overlay_into_the_clip_frames_exits_1_and_leaves_them(tmp_path, capsys):
+    _, clip, _ = _one_clip_and_checkpoint(tmp_path)
+    before = _tree_bytes(clip)
+    capsys.readouterr()
+    assert main(["overlay", "--clip", str(clip), "--masks", str(clip / "masks"),
+                 "--out", str(clip / "frames")]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {clip / 'frames'} already holds files")
+    assert _tree_bytes(clip) == before
+
+
+def test_an_infer_that_fails_mid_write_leaves_no_out_and_no_temporary(tmp_path, capsys,
+                                                                      monkeypatch):
+    _, clip, ckpt = _one_clip_and_checkpoint(tmp_path)
+    written, real_write = [], refvos.data.write_pgm
+
+    def third_write_fails(path, mask):
+        written.append(path)
+        if len(written) == 3:
+            raise OSError("no space left on device")
+        real_write(path, mask)
+    monkeypatch.setattr(refvos.data, "write_pgm", third_write_fails)
+    preds = tmp_path / "preds"
+    assert main(["infer", "--checkpoint", str(ckpt), "--clip", str(clip),
+                 "--out", str(preds)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    assert len(written) == 3
+    assert not preds.exists() and list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "infer", "overlay"])
+def test_an_out_that_names_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             command):
+    cfg, clip, ckpt = _one_clip_and_checkpoint(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not an output folder\n")
+    work = []
+    monkeypatch.setattr(refvos.data, "generate_clip", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "segment_clip", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "write_frames", lambda *a: work.append(a))
+    argv = {"generate": ["generate", "--config", cfg],
+            "infer": ["infer", "--checkpoint", str(ckpt), "--clip", str(clip)],
+            "overlay": ["overlay", "--clip", str(clip), "--masks", str(clip / "masks")]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(afile)]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {afile} exists and is not a folder\n"
+    assert work == []
+    assert afile.read_bytes() == b"not an output folder\n"
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # ---- ablation toggles -------------------------------------------------------
