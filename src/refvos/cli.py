@@ -133,8 +133,7 @@ def cmd_overlay(args):
     frames = read_frames(args.clip)
     masks = read_masks(args.masks, frames)
     tint = np.array([1.0, 0.2, 0.2])[:, None, None]
-    overlays = (np.where(mask.astype(bool), 0.5 * frame + 0.5 * tint, frame)
-                for frame, mask in zip(frames, masks))
+    overlays = (np.where(m, 0.5 * f + 0.5 * tint, f) for f, m in zip(frames, masks))
     publish(args.out, lambda tmp: write_frames(tmp, overlays), folder=True)
     print(f"wrote {len(frames)} overlays to {args.out}")
     return EXIT_OK

@@ -117,7 +117,8 @@ def publish(path, write, folder=False):
         raise FileExistsError(f"{path} exists and is not a {'folder' if folder else 'file'}")
     tmp = f"{os.path.abspath(path)}.{os.getpid()}.tmp"
     if folder:
-        os.makedirs(tmp)
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)   # so an error names no temporary
+        os.mkdir(tmp)
     try:
         write(tmp)
         os.replace(tmp, path)

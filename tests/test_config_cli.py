@@ -308,11 +308,13 @@ def test_generate_byte_identical_reruns(tmp_path):
                                os.path.join(b, rel, name), shallow=False)
 
 
-def test_generate_unwritable_dir_exits_one(tmp_path):
+def test_generate_unwritable_dir_exits_one(tmp_path, capsys):
     cfg = write_toy_config(tmp_path)
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")
     assert main(["generate", "--config", cfg, "--out", str(blocked / "x")]) == EXIT_FAILURE
+    # the error names the file in the way, not a temporary beside the output
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{blocked}'\n"
 
 
 def test_generate_impossible_long_clips_exits_one(tmp_path, capsys):
