@@ -115,13 +115,14 @@ def publish(path, write, folder=False):
                               "an output goes only to a new path or an empty folder")
     if os.path.lexists(path) and os.path.isdir(path) != folder:
         raise FileExistsError(f"{path} exists and is not a {'folder' if folder else 'file'}")
-    tmp = f"{os.path.abspath(path)}.{os.getpid()}.tmp"
+    dest = os.path.realpath(path)   # a rename refuses "." and goes no further than a link
+    tmp = f"{dest}.{os.getpid()}.tmp"
     if folder:
         os.makedirs(os.path.dirname(tmp), exist_ok=True)   # so an error names no temporary
         os.mkdir(tmp)
     try:
         write(tmp)
-        os.replace(tmp, path)
+        os.replace(tmp, dest)
     except BaseException:
         if os.path.isdir(tmp):
             shutil.rmtree(tmp, ignore_errors=True)

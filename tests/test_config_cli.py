@@ -350,6 +350,21 @@ def test_generate_refuses_a_used_folder_and_leaves_its_bytes(tmp_path, capsys):
     assert sorted(os.listdir(empty)) == ["clip0000"]
 
 
+@pytest.mark.parametrize("out", [".", "link"])
+def test_generate_into_the_empty_working_folder_or_a_link_to_an_empty_folder(tmp_path, capsys,
+                                                                            monkeypatch, out):
+    # a rename over "." or over a link once failed after every clip was written
+    cfg = write_toy_config(tmp_path, extra="data.clips = 1\n")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (tmp_path / "link").symlink_to(empty)
+    monkeypatch.chdir(empty if out == "." else tmp_path)
+    assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote 1 clips to {out}\n"
+    assert os.listdir(empty) == ["clip0000"] and (tmp_path / "link").is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["empty", "link", "run.cfg"]
+
+
 def test_generate_small_canvas_exits_4(tmp_path, capsys):
     cfg = write_toy_config(tmp_path, extra="data.height = 16\n")
     out = tmp_path / "data"
